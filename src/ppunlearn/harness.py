@@ -301,7 +301,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
         params, _ = load_model(unlearned_path)
         method_record = _read_json(method_path)
     else:
-        report = _run_method(cfg, ds, split, original, layout, run_dir)
+        report = _run_method(cfg, ds, split, original, layout)
         params = report.params
         method_record = {
             "method": report.method,
@@ -312,6 +312,8 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
             "timings": report.timings,
         }
         save_model(params, unlearned_path, epoch=report.selected_epoch)
+        if report.refine_result is not None:
+            save_refine_result(report.refine_result, run_dir / "refined")
         if report.checkpoints is not None:
             ckpt_dir = run_dir / "checkpoints"
             ckpt_dir.mkdir(exist_ok=True)
@@ -332,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
     return summary
 
 
-def _run_method(cfg, ds, split, original, layout, run_dir):
+def _run_method(cfg, ds, split, original, layout):
     method = cfg.method
     if method.startswith("baseline:"):
         kind = method.split(":", 1)[1]
@@ -357,22 +359,17 @@ def _run_method(cfg, ds, split, original, layout, run_dir):
         adaptive_style=cfg.adaptive_style,
     )
     if method == "ppu-bias":
-        report = ppu_bias(original, task)
-    elif method == "ppu-privacy":
-        report = ppu_privacy(original, task)
-    else:
-        # Adaptive runs after the finetune baseline by default.
-        pre_spec = BaselineSpec(
-            kind="finetune",
-            train=_train_config(cfg.finetune, cfg.seeds["model"],
-                                "cross-entropy"),
-        )
-        predecessor = run_baseline(pre_spec, ds, split, original=original,
-                                   layout=layout)
-        report = adaptive_post(predecessor.params, task)
-    if report.refine_result is not None:
-        save_refine_result(report.refine_result, run_dir / "refined")
-    return report
+        return ppu_bias(original, task)
+    if method == "ppu-privacy":
+        return ppu_privacy(original, task)
+    # Adaptive runs after the finetune baseline by default.
+    pre_spec = BaselineSpec(
+        kind="finetune",
+        train=_train_config(cfg.finetune, cfg.seeds["model"], "cross-entropy"),
+    )
+    predecessor = run_baseline(pre_spec, ds, split, original=original,
+                               layout=layout)
+    return adaptive_post(predecessor.params, task)
 
 
 def _evaluate_run(cfg, ds, split, original, params, method_record, layout,
@@ -418,7 +415,7 @@ def bench_methods(cfg: ExperimentConfig, ds, split, original, layout,
     reps = cfg.timing_repetitions
 
     def run_method():
-        _run_method(cfg, ds, split, original, layout, Path(cfg.out_dir))
+        _run_method(cfg, ds, split, original, layout)
 
     def run_retrain():
         spec = BaselineSpec(kind="retrain",

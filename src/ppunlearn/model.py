@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, LayoutError, ShapeError, UsageError
-from .probmatrix import FLOOR, ProbMatrix
+from .probmatrix import FLOOR, ProbMatrix, kl_rows
 
 _CKPT_MAGIC = b"UNLMDL01"
 _CKPT_VERSION = 1
@@ -164,8 +164,21 @@ def predict_labels(params: ModelParams, X) -> np.ndarray:
     return logits.argmax(axis=1)
 
 
-def _error_pct(params: ModelParams, X, y) -> float:
-    return 100.0 * float(np.mean(predict_labels(params, X) != np.asarray(y)))
+def _normalized_weights(n, row_weights):
+    if row_weights is None:
+        return np.full(n, 1.0 / n)
+    return row_weights / row_weights.sum()
+
+
+def _mean_loss(probs, T, w, kind):
+    """Loss of model outputs ``probs`` against targets ``T``, averaged with
+    row weights ``w`` that sum to one."""
+    if kind == "cross-entropy":
+        # T is one-hot here; CE = -log p_label.
+        p_true = np.maximum((probs * T).sum(axis=1), FLOOR)
+        return float(-(w * np.log(p_true)).sum())
+    P = np.maximum(probs, FLOOR)
+    return float((w * np.sum(T * np.log(T / P), axis=1)).sum())
 
 
 def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None):
@@ -176,21 +189,11 @@ def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None):
     losses the logit gradient is (probs - target) scaled by the normalized
     weight, because the targets are proper distributions.
     """
-    n = X.shape[0]
     a1, logits = _forward(params, X)
     probs = _softmax(logits)
     T = y_onehot_or_targets
-    if row_weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = row_weights / row_weights.sum()
-    if kind == "cross-entropy":
-        # T is one-hot here; CE = -log p_label.
-        p_true = np.maximum((probs * T).sum(axis=1), FLOOR)
-        loss = float(-(w * np.log(p_true)).sum())
-    else:
-        P = np.maximum(probs, FLOOR)
-        loss = float((w * np.sum(T * np.log(T / P), axis=1)).sum())
+    w = _normalized_weights(X.shape[0], row_weights)
+    loss = _mean_loss(probs, T, w, kind)
     dlogits = w[:, None] * (probs - T)
     dw2 = a1.T @ dlogits
     db2 = dlogits.sum(axis=0)
@@ -241,25 +244,45 @@ def train_ce(params: ModelParams, inputs, labels, cfg: TrainConfig) -> ModelPara
 
 def kl_loss(params: ModelParams, inputs, targets: ProbMatrix,
             row_weights=None) -> float:
-    """Weighted mean KL(target || model output) over all rows."""
+    """Weighted mean KL(target || model output) over all rows (forward pass
+    only; the same value ``_loss_and_grads`` returns)."""
     X = _check_inputs(params, inputs)
-    loss, _ = _loss_and_grads(params, X, targets.values, "kl", row_weights)
-    return loss
+    _, logits = _forward(params, X)
+    return _mean_loss(_softmax(logits), targets.values,
+                      _normalized_weights(X.shape[0], row_weights), "kl")
+
+
+def _eval_rows(params: ModelParams, rows, n: int) -> np.ndarray:
+    """An eval subset's rows: 1-D positions into the inputs, or an input
+    matrix of its own."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1:
+        return _check_inputs(params, rows)
+    if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
+                      or rows.max() >= n):
+        raise ShapeError(f"eval positions must be integers in [0, {n})")
+    return rows
 
 
 def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
-                eval_sets=None, row_weights=None,
-                extra_metrics=None) -> CheckpointSet:
+                eval_sets=None, row_weights=None) -> CheckpointSet:
     """Fine-tune toward target distributions, snapshotting every epoch.
 
     Args:
         targets: ProbMatrix (or array of stochastic rows) aligned with inputs.
-        eval_sets: optional {name: (X, y)}; each snapshot records the error
-            percentage on every named subset.
+        eval_sets: optional {name: (rows, y)}, where ``rows`` is a 1-D array
+            of positions into ``inputs`` or an input matrix of its own.  Each
+            snapshot records the error percentage on every named subset; with
+            ``y=None`` it records instead the mean KL divergence of the
+            snapshot's outputs on those rows from the outputs of ``params``.
         row_weights: optional per-row positive weights for the loss (used to
             weight retain rows by lambda); normalized internally.
-        extra_metrics: optional callable(params) -> dict merged into each
-            snapshot's metrics.
+
+    A snapshot runs one forward pass over ``inputs`` and no backward pass:
+    its ``kl_loss`` and the metrics of every positional subset come from
+    those logits, so only a subset given as an input matrix costs a forward
+    pass of its own.  The reference outputs for ``y=None`` subsets come from
+    the same kind of pass over ``params``, made once before training.
 
     Returns a CheckpointSet with one entry per epoch; ``initial_loss`` holds
     the full-data loss before any update.
@@ -284,19 +307,40 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
             raise ShapeError("row_weights must have one entry per input row")
         if row_weights.min() <= 0:
             raise UsageError("row_weights must be positive")
+    sets = {name: (_eval_rows(params, rows, X.shape[0]),
+                   None if y is None else np.asarray(y))
+            for name, (rows, y) in (eval_sets or {}).items()}
 
     T = targets.values
+    w = _normalized_weights(X.shape[0], row_weights)
+
+    def subset_logits(p, logits, rows):
+        return logits[rows] if rows.ndim == 1 else _forward(p, rows)[1]
+
+    def measure(p, names):
+        """Loss plus the logits of the named eval subsets, from one pass."""
+        _, logits = _forward(p, X)
+        return (_mean_loss(_softmax(logits), T, w, "kl"),
+                {name: subset_logits(p, logits, sets[name][0])
+                 for name in names})
+
+    drift = [name for name, (_, y) in sets.items() if y is None]
+    initial_loss, start = measure(params, drift)
+    refs = {name: ProbMatrix(_softmax(start[name])) for name in drift}
     entries = []
 
     def snapshot(epoch, p):
-        metrics = {"kl_loss": kl_loss(p, X, targets, row_weights)}
-        for name, (sx, sy) in (eval_sets or {}).items():
-            metrics[name] = _error_pct(p, sx, sy)
-        if extra_metrics is not None:
-            metrics.update(extra_metrics(p))
+        loss, logits = measure(p, sets)
+        metrics = {"kl_loss": loss}
+        for name, (_, y) in sets.items():
+            if y is None:
+                out = ProbMatrix(_softmax(logits[name]))
+                metrics[name] = float(kl_rows(out, refs[name]).mean())
+            else:
+                wrong = logits[name].argmax(axis=1) != y
+                metrics[name] = 100.0 * float(np.mean(wrong))
         entries.append(CheckpointEntry(epoch, p.copy(), metrics))
 
-    initial_loss = kl_loss(params, X, targets, row_weights)
     _sgd_epochs(params, X, T, cfg, "kl", row_weights, snapshot)
     return CheckpointSet(entries, initial_loss=initial_loss)
 

@@ -22,8 +22,7 @@ from .errors import UsageError
 from .evaluate import error_rate
 from .model import (CheckpointSet, ModelParams, TrainConfig, finetune_kl,
                     forward_probs)
-from .probmatrix import (ProbMatrix, PseudoScheme, kl_rows, pseudo_generate,
-                         replace_rows)
+from .probmatrix import PseudoScheme, pseudo_generate, replace_rows
 from .refine import RefineConfig, problem_from_outputs, refine
 
 MODES = ("bias", "privacy", "adaptive")
@@ -166,26 +165,21 @@ def _run_ppu(source: ModelParams, task: UnlearnTask, style: str,
             method=method, refine_result=refine_result,
         )
 
+    # forget and retain are train rows: the snapshots slice them out of
+    # their pass over X instead of running one of their own
     eval_sets = {
-        "forget": ds.arrays_at(split.forget_idx),
-        "retain": ds.arrays_at(split.retain_idx),
+        "forget": (fpos, ds.labels[split.forget_idx]),
+        "retain": (rpos, ds.labels[split.retain_idx]),
         "test": ds.split_arrays("test"),
     }
+    if style == "privacy":
+        eval_sets["retain_kl"] = (rpos, None)
     weights = np.ones(len(train_idx))
     weights[rpos] = task.lam
-    extra = None
-    if style == "privacy":
-        xr = ds.inputs[split.retain_idx]
-        retain_ref = forward_probs(source, xr)
-
-        def extra(p):
-            out = forward_probs(p, xr)
-            return {"retain_kl": float(kl_rows(out, retain_ref).mean())}
 
     t0 = time.perf_counter()
     cps = finetune_kl(source, X, targets, task.finetune,
-                      eval_sets=eval_sets, row_weights=weights,
-                      extra_metrics=extra)
+                      eval_sets=eval_sets, row_weights=weights)
     timings["finetune"] = time.perf_counter() - t0
 
     trajectory = [dict(e.metrics, epoch=e.epoch) for e in cps.entries]

@@ -157,6 +157,31 @@ class TestRunDirectoryArtifacts:
         assert lines[0] == "method,mean_seconds,std_error"
         assert len(lines) == 4  # header + one row per method
 
+    def test_bench_leaves_run_directory_untouched(self, tmp_path):
+        from ppunlearn.data import load_dataset, make_forget_split
+        from ppunlearn.harness import _forget_spec, bench_methods
+        from ppunlearn.model import ModelLayout, load_model
+        run_dir = tmp_path / "priv"
+        cfg = blob_config(run_dir, method="ppu-privacy")
+        cfg.refine = {"eta": "1.0/n"}
+        cfg.timing_repetitions = 1
+        run_experiment(cfg)
+
+        def state():
+            # content plus inode and mtime, so an identical rewrite shows
+            return {f: (f.read_bytes(), f.stat().st_ino, f.stat().st_mtime_ns)
+                    for f in run_dir.rglob("*") if f.is_file()}
+
+        before = state()
+        ds = load_dataset(run_dir / "dataset")
+        split = make_forget_split(ds, _forget_spec(cfg))
+        original, _ = load_model(run_dir / "original.ckpt")
+        layout = ModelLayout(ds.dim, cfg.model["hidden"], ds.n_classes)
+        records = bench_methods(cfg, ds, split, original, layout)
+        assert [r.label for r in records] == [
+            "ppu-privacy", "baseline:retrain", "baseline:finetune"]
+        assert state() == before
+
 
 class TestSweep:
     def test_single_lambda_matches_single_run(self, tmp_path):

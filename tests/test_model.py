@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from ppunlearn import model as model_module
 from ppunlearn.errors import (DataError, LayoutError, ShapeError, TargetError,
                               UsageError)
 from ppunlearn.model import (CheckpointSet, CheckpointEntry, ModelLayout,
                              ModelParams, TrainConfig, _loss_and_grads,
                              finetune_kl, forward_probs, init_model, kl_loss,
                              load_model, predict_labels, save_model, train_ce)
-from ppunlearn.probmatrix import ProbMatrix
+from ppunlearn.probmatrix import ProbMatrix, kl_rows
 
 from oracles import finite_diff_grads, logistic_regression_error
 
@@ -152,12 +153,69 @@ class TestFinetuneKl:
         targets = forward_probs(params, X)
         cfg = TrainConfig(lr=0.01, epochs=5, batch_size=8, seed=1, loss="kl")
         cps = finetune_kl(params, X, targets, cfg,
-                          eval_sets={"train": (X, y)},
-                          extra_metrics=lambda p: {"const": 1.0})
+                          eval_sets={"train": (X, y),
+                                     "drift": (np.arange(24), None)})
         assert len(cps) == 5
         assert [e.epoch for e in cps.entries] == [1, 2, 3, 4, 5]
         for e in cps.entries:
-            assert set(e.metrics) == {"kl_loss", "train", "const"}
+            assert set(e.metrics) == {"kl_loss", "train", "drift"}
+
+    def test_positional_eval_sets_match_input_matrices(self, rng):
+        X = rng.normal(size=(24, 3))
+        y = rng.integers(0, 4, size=24)
+        rows = np.array([5, 0, 17, 17, 3])
+        params = init_model(ModelLayout(3, 6, 4), seed=4)
+        cfg = TrainConfig(lr=0.5, epochs=3, batch_size=8, seed=1, loss="kl")
+        cps = finetune_kl(params, X, np.full((24, 4), 0.25), cfg,
+                          eval_sets={"by_pos": (rows, y[rows]),
+                                     "by_rows": (X[rows], y[rows]),
+                                     "drift": (rows, None)})
+        for e in cps.entries:
+            assert e.metrics["by_pos"] == e.metrics["by_rows"]
+            out = forward_probs(e.params, X[rows])
+            assert e.metrics["drift"] == float(
+                kl_rows(out, forward_probs(params, X[rows])).mean())
+
+    @pytest.mark.parametrize("rows", [np.array([0, 24]), np.array([-1]),
+                                      np.array([0.0, 1.0])])
+    def test_bad_eval_positions_rejected(self, rng, rows):
+        X = rng.normal(size=(24, 3))
+        params = init_model(ModelLayout(3, 6, 2), seed=4)
+        with pytest.raises(ShapeError):
+            finetune_kl(params, X, np.full((24, 2), 0.5),
+                        TrainConfig(lr=0.01, epochs=1, loss="kl"),
+                        eval_sets={"bad": (rows, None)})
+
+    def test_one_backward_pass_per_sgd_step(self, rng, monkeypatch):
+        # snapshots and the initial loss are forward-only: every
+        # _loss_and_grads call is an SGD step
+        calls = []
+        real = model_module._loss_and_grads
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_loss_and_grads", counting)
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(0, 4, size=30)
+        params = init_model(ModelLayout(3, 6, 4), seed=4)
+        cfg = TrainConfig(lr=0.01, epochs=3, batch_size=8, seed=1, loss="kl")
+        cps = finetune_kl(params, X, np.full((30, 4), 0.25), cfg,
+                          eval_sets={"train": (np.arange(30), y),
+                                     "drift": (np.arange(30), None)},
+                          row_weights=rng.uniform(0.5, 2.0, 30))
+        assert len(cps) == 3
+        assert len(calls) == 3 * 4  # epochs * ceil(30 / 8)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_kl_loss_is_the_training_loss(self, rng, weighted):
+        X = rng.normal(size=(30, 3))
+        params = init_model(ModelLayout(3, 6, 4), seed=4)
+        targets = ProbMatrix(rng.dirichlet(np.ones(4), size=30))
+        w = rng.uniform(0.5, 2.0, 30) if weighted else None
+        loss, _ = _loss_and_grads(params, X, targets.values, "kl", w)
+        assert kl_loss(params, X, targets, w) == loss
 
     def test_non_stochastic_targets_rejected(self, rng):
         X = rng.normal(size=(4, 3))

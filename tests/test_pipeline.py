@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ppunlearn
 from ppunlearn.errors import UsageError
 from ppunlearn.evaluate import evaluate_model
 from ppunlearn.model import (CheckpointEntry, CheckpointSet, ModelLayout,
@@ -200,3 +206,88 @@ class TestTaskValidation:
         with pytest.raises(UsageError):
             UnlearnTask(small_blobs, small_split, "bias",
                         PseudoScheme("uniform"), kl_cfg(1), lam=0.0)
+
+
+class TestFusedSnapshot:
+    """Each trajectory entry equals an independent recomputation from that
+    epoch's checkpoint with the public evaluation functions."""
+
+    @pytest.mark.parametrize("style", ["bias", "privacy"])
+    def test_trajectory_matches_recomputation(self, small_blobs, small_split,
+                                              small_model, style):
+        from ppunlearn.evaluate import error_rate
+        from ppunlearn.model import kl_loss
+        from ppunlearn.pipeline import _train_positions
+        from ppunlearn.probmatrix import pseudo_generate, replace_rows
+        ds, split = small_blobs, small_split
+        scheme = PseudoScheme("random-softmax", seed=7)
+        task = UnlearnTask(ds, split, style, scheme, kl_cfg(4), lam=0.5,
+                           refine_cfg=RefineConfig(eta=1.0 / 440))
+        run = ppu_privacy if style == "privacy" else ppu_bias
+        rep = run(small_model, task)
+
+        train_idx, fpos, rpos = _train_positions(ds, split)
+        X = ds.inputs[train_idx]
+        if style == "privacy":
+            targets = rep.refine_result.matrix
+        else:
+            pseudo = pseudo_generate(len(fpos), ds.n_classes, scheme)
+            targets = replace_rows(forward_probs(small_model, X), fpos, pseudo)
+        weights = np.ones(len(train_idx))
+        weights[rpos] = task.lam
+        subsets = {"forget": ds.arrays_at(split.forget_idx),
+                   "retain": ds.arrays_at(split.retain_idx),
+                   "test": ds.split_arrays("test")}
+        xr = subsets["retain"][0]
+        source_retain = forward_probs(small_model, xr)
+
+        assert len(rep.trajectory) == len(rep.checkpoints) == 4
+        for entry, cp in zip(rep.trajectory, rep.checkpoints.entries):
+            p = cp.params
+            expected = {"epoch": cp.epoch,
+                        "kl_loss": kl_loss(p, X, targets, weights)}
+            for name, (sx, sy) in subsets.items():
+                expected[name] = error_rate(p, sx, sy)
+            if style == "privacy":
+                expected["retain_kl"] = float(
+                    kl_rows(forward_probs(p, xr), source_retain).mean())
+            assert entry == expected
+
+
+class TestDeterminism:
+    def test_sequential_blas_runs_are_byte_identical(self, tmp_path):
+        # the determinism contract: fixed seeds and single-threaded BLAS
+        # give bitwise-equal results across processes
+        script = """
+import json, sys
+import ppunlearn as pl
+ds = pl.gen_blobs(n_classes=3, dim=4, n_per_class=40, spread=0.6, seed=3)
+split = pl.make_forget_split(ds, pl.ForgetSpec("selective", target_class=0,
+                                               count=8, seed=103))
+model = pl.train_ce(pl.init_model(pl.ModelLayout(4, 16, 3), seed=1),
+                    *ds.split_arrays("train"),
+                    pl.TrainConfig(lr=0.05, epochs=10, batch_size=16, seed=2))
+task = pl.UnlearnTask(ds, split, "privacy",
+                      pl.PseudoScheme("random-softmax", seed=7),
+                      pl.TrainConfig(lr=0.02, epochs=4, batch_size=16, seed=5,
+                                     loss="kl"),
+                      refine_cfg=pl.RefineConfig(eta=1.0 / 84))
+report = pl.ppu_privacy(model, task)
+pl.save_model(report.params, sys.argv[1] + "/unlearned.ckpt",
+              epoch=report.selected_epoch)
+with open(sys.argv[1] + "/trajectory.json", "w") as fh:
+    json.dump(report.trajectory, fh, sort_keys=True)
+"""
+        src = os.path.dirname(os.path.dirname(ppunlearn.__file__))
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=src)
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            out.mkdir()
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                           check=True, timeout=60)
+            outputs.append({f: (out / f).read_bytes()
+                            for f in ("unlearned.ckpt", "trajectory.json")})
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0]["trajectory.json"])) == 4
