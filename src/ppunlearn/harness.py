@@ -23,11 +23,12 @@ from . import __version__
 from .baselines import BaselineSpec, run_baseline
 from .data import (Dataset, ForgetSpec, gen_blobs, load_csv, load_dataset,
                    make_forget_split, save_dataset)
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .evaluate import MiaConfig, evaluate_model, mia_attack, time_stage
 from .model import (ModelLayout, TrainConfig, init_model, load_model,
                     save_model, train_ce)
-from .pipeline import (UnlearnTask, adaptive_post, ppu_bias, ppu_privacy)
+from .pipeline import (ERROR_METRICS, UnlearnTask, adaptive_post, ppu_bias,
+                       ppu_privacy)
 from .probmatrix import PseudoScheme
 from .refine import RefineConfig, save_refine_result
 
@@ -173,8 +174,13 @@ def _write_json(path, payload) -> None:
 
 
 def _read_json(path):
+    """Parse a run-directory JSON file; content that does not decode (a
+    file truncated by a crash, say) raises DataError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _stages_path(run_dir: Path) -> Path:
@@ -321,8 +327,8 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
                 save_model(entry.params,
                            ckpt_dir / f"epoch_{entry.epoch:03d}.ckpt",
                            epoch=entry.epoch,
-                           error_rates={k: v for k, v in entry.metrics.items()
-                                        if k != "kl_loss"})
+                           error_rates={k: entry.metrics[k]
+                                        for k in ERROR_METRICS})
         _write_json(method_path, method_record)
         _mark_stage(run_dir, "method")
 

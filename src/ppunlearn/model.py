@@ -369,12 +369,19 @@ def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:
 
 
 def load_model(path):
-    """Read a checkpoint; returns (ModelParams, sidecar dict)."""
+    """Read a checkpoint; returns (ModelParams, sidecar dict).
+
+    The file must hold exactly the header and the four tensors it sizes,
+    with every weight finite; anything else raises DataError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _CKPT_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
-        version, d, h, k = struct.unpack("<IIII", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise DataError(f"{path}: truncated checkpoint")
+        version, d, h, k = struct.unpack("<IIII", header)
         if version != _CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         layout = ModelLayout(d, h, k)
@@ -388,10 +395,16 @@ def load_model(path):
             tensors.append(
                 np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             )
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after the weights")
+    if not all(np.isfinite(t).all() for t in tensors):
+        raise DataError(f"{path}: non-finite weight")
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
     except FileNotFoundError:
         sidecar = {}
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DataError(f"{path}.json: not valid JSON: {exc}") from exc
     params = ModelParams(layout, int(sidecar.get("seed", -1)), *tensors)
     return params, sidecar

@@ -27,6 +27,9 @@ from .refine import RefineConfig, problem_from_outputs, refine
 
 MODES = ("bias", "privacy", "adaptive")
 CRITERIA = ("forget-error-proxy", "output-distance")
+# trajectory metrics that are error percentages on labelled subsets; the
+# others (``kl_loss``, ``retain_kl``) are divergences
+ERROR_METRICS = ("forget", "retain", "test")
 
 
 @dataclass

@@ -37,16 +37,7 @@ class ProbMatrix:
         values = np.array(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ShapeError(f"expected a 2-D matrix, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise TargetError("probability entries must be finite")
-        if values.size and values.min() < -1e-9:
-            raise TargetError("probability entries must be non-negative")
-        sums = values.sum(axis=1)
-        if values.size and np.abs(sums - 1.0).max() > 1e-6:
-            worst = int(np.abs(sums - 1.0).argmax())
-            raise TargetError(
-                f"row {worst} sums to {sums[worst]:.9g}, expected 1"
-            )
+        _check_stochastic(values, -1e-9)
         values = np.maximum(values, FLOOR)
         values /= values.sum(axis=1, keepdims=True)
         self.values = values
@@ -104,6 +95,21 @@ class PseudoScheme:
             raise ValueError("random-softmax scheme requires a seed")
         if self.kind == "uniform" and self.seed is not None:
             raise ValueError("uniform scheme takes no seed")
+
+
+def _check_stochastic(values, min_entry, where=""):
+    """Raise TargetError unless every entry is finite and at least
+    ``min_entry`` and every row sums to 1 within 1e-6."""
+    if not np.isfinite(values).all():
+        raise TargetError(f"{where}probability entries must be finite")
+    if values.size and values.min() < min_entry:
+        raise TargetError(f"{where}probability entries must be non-negative")
+    sums = values.sum(axis=1)
+    if values.size and np.abs(sums - 1.0).max() > 1e-6:
+        worst = int(np.abs(sums - 1.0).argmax())
+        raise TargetError(
+            f"{where}row {worst} sums to {sums[worst]:.9g}, expected 1"
+        )
 
 
 def _check_row_ids(row_ids, n):
@@ -205,13 +211,30 @@ def dump_probmatrix(m: ProbMatrix, path) -> None:
 
 
 def load_probmatrix(path) -> ProbMatrix:
+    """Read a dump written by ``dump_probmatrix``.
+
+    The payload must be exactly n * k values, all finite and non-negative,
+    with every row summing to 1 within 1e-6; the values are then kept
+    bitwise as stored.  A malformed header or payload size raises
+    ShapeError, bad values raise TargetError.
+    """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != _DUMP_FORMAT:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ShapeError(f"not a probmatrix dump: {path}") from exc
+        if not isinstance(header, dict) or header.get("format") != _DUMP_FORMAT:
             raise ShapeError(f"not a probmatrix dump: {path}")
-        n, k = header["n"], header["k"]
-        raw = fh.read(n * k * 8)
+        n, k, row_ids = (header.get(key) for key in ("n", "k", "row_ids"))
+        if not (all(isinstance(v, int) and v >= 0 for v in (n, k))
+                and isinstance(row_ids, list)):
+            raise ShapeError(f"{path}: malformed probmatrix header")
+        raw = fh.read()
     if len(raw) != n * k * 8:
-        raise ShapeError(f"truncated dump: {path}")
+        raise ShapeError(
+            f"{path}: {len(raw)} payload bytes, expected {n * k * 8} "
+            f"for a {n} x {k} matrix"
+        )
     vals = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, k)
-    return ProbMatrix._wrap(vals, np.asarray(header["row_ids"], dtype=np.int64))
+    _check_stochastic(vals, 0.0, f"{path}: ")
+    return ProbMatrix._wrap(vals, row_ids)

@@ -119,27 +119,83 @@ def objective(Q: ProbMatrix, problem: RefineProblem) -> float:
                  + problem.lam * per_row[problem.retain_rows].sum())
 
 
+class _Primal:
+    """Row-wise Lagrangian minimizer Q_ik ~ target_ik * exp(-alpha_k / c_i)
+    over buffers allocated once per problem.
+
+    Rows with equal weight c_i (1 on forget rows, lambda on retain rows) share
+    their exponents, so the exponents form a table with one row per weight
+    present (at most two); the clamp, the finiteness check and the zero test
+    run on that table.  Only the product with the targets, the row
+    normalization and the floor touch all N x K entries.  The row sums are a
+    NumPy sum over the row-major (N, K) buffer, so they add in the same order
+    as ``ndarray.sum`` on a fresh array.  Returned values stay valid until
+    the next call.
+    """
+
+    def __init__(self, problem: RefineProblem):
+        self.problem = problem
+        self.targets = problem.targets.values
+        weights, groups = np.unique(problem.row_weights(), return_inverse=True)
+        self.weights = weights[:, None]
+        self.groups = groups if len(weights) > 1 else None
+        self.table = np.empty((len(weights), problem.targets.n_classes))
+        self.q = np.empty(self.targets.shape)
+        self.row_sums = np.empty((self.targets.shape[0], 1))
+
+    def __call__(self, alpha: np.ndarray) -> np.ndarray | None:
+        """The minimizer's values for ``alpha``; None when every exponent is
+        zero, where the minimizer is the targets themselves."""
+        table, q = self.table, self.q
+        np.divide(-alpha, self.weights, out=table)
+        np.clip(table, -EXP_CLAMP, EXP_CLAMP, out=table)
+        # after the clamp an entry is non-finite only when it is NaN, which
+        # the maximum propagates
+        top = np.maximum.reduce(np.abs(table), axis=None, initial=0.0)
+        if not top <= EXP_CLAMP:
+            raise NumericalOverflowError("non-finite exponent in primal update")
+        if top == 0.0:
+            return None
+        np.exp(table, out=table)
+        if self.groups is None:
+            np.multiply(self.targets, table, out=q)
+        else:
+            np.take(table, self.groups, axis=0, out=q)
+            np.multiply(self.targets, q, out=q)
+        np.add.reduce(q, axis=1, keepdims=True, out=self.row_sums)
+        np.divide(q, self.row_sums, out=q)
+        np.maximum(q, FLOOR, out=q)
+        return q
+
+    def matrix(self, alpha: np.ndarray) -> ProbMatrix:
+        """The minimizer for ``alpha`` as a matrix that owns its values."""
+        q = self(alpha)
+        targets = self.problem.targets
+        if q is None:
+            return targets  # scaling by ones is the identity
+        self.q = np.empty_like(q)
+        return ProbMatrix._wrap(q, targets.row_ids.copy())
+
+
+def _mass_residual(q: np.ndarray, mass: np.ndarray):
+    """Column-mass residual sum_i Q_ik - M_k and its sup-norm.  The sum runs
+    over the row-major (N, K) array in the order of ``class_mass``."""
+    grad = np.add.reduce(q, axis=0) - mass
+    return grad, float(np.maximum.reduce(np.abs(grad)))
+
+
 def primal_update(problem: RefineProblem, dual: DualState) -> ProbMatrix:
     """Row-wise Lagrangian minimizer Q_ik ~ target_ik * exp(-alpha_k / c_i).
 
     Exponents are clamped to [-EXP_CLAMP, EXP_CLAMP]; anything non-finite
     after clamping aborts.  With alpha = 0 the targets are returned bitwise.
     """
-    alpha = dual.alpha
-    if alpha.shape != (problem.targets.n_classes,):
+    if dual.alpha.shape != (problem.targets.n_classes,):
         raise ShapeError(
-            f"dual vector of length {alpha.shape} for "
+            f"dual vector of length {dual.alpha.shape} for "
             f"{problem.targets.n_classes} classes"
         )
-    c = problem.row_weights()
-    expo = np.clip(-alpha[None, :] / c[:, None], -EXP_CLAMP, EXP_CLAMP)
-    if not np.isfinite(expo).all():
-        raise NumericalOverflowError("non-finite exponent in primal update")
-    if not expo.any():
-        return problem.targets  # scaling by ones is the identity
-    w = problem.targets.values * np.exp(expo)
-    q = w / w.sum(axis=1, keepdims=True)
-    return ProbMatrix._wrap(np.maximum(q, FLOOR), problem.targets.row_ids.copy())
+    return _Primal(problem).matrix(dual.alpha)
 
 
 def dual_step(dual: DualState, Q: ProbMatrix, mass: np.ndarray) -> DualState:
@@ -148,13 +204,12 @@ def dual_step(dual: DualState, Q: ProbMatrix, mass: np.ndarray) -> DualState:
     The residual trace is shared (not copied) between the old and new state,
     so long solver runs stay linear in the iteration count.
     """
-    mass = np.asarray(mass, dtype=np.float64)
-    grad = class_mass(Q) - mass
+    grad, resid = _mass_residual(Q.values, np.asarray(mass, dtype=np.float64))
     if grad.shape != dual.alpha.shape:
         raise ShapeError(
             f"residual of shape {grad.shape} for dual of shape {dual.alpha.shape}"
         )
-    dual.residuals.append(float(np.abs(grad).max()))
+    dual.residuals.append(resid)
     return DualState(
         alpha=dual.alpha + dual.eta * grad,
         eta=dual.eta,
@@ -169,6 +224,9 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
     Stops when the sup-norm residual drops below ``cfg.tol`` or after
     ``cfg.max_iters`` primal updates; a residual increase halves eta.  The
     result carries the best (lowest-residual) iterate when not converged.
+    Each iteration is one pass of ``_Primal`` plus one class-mass sum, which
+    feeds the residual trace, the step-size rule and the dual ascent; the
+    best iterate is kept as its alpha and rebuilt once at the end.
     """
     cfg = cfg or RefineConfig()
     n = problem.n_rows
@@ -181,33 +239,41 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
     eta = cfg.eta if cfg.eta is not None else 0.1 / n
     dual = DualState(alpha=np.zeros(problem.targets.n_classes), eta=eta)
     eta_schedule = [(0, eta)]
-    if cfg.warm_start is not None and (
-            cfg.warm_start.values.shape != problem.targets.values.shape):
+    warm = cfg.warm_start
+    if warm is not None and warm.values.shape != problem.targets.values.shape:
         raise ShapeError("warm start shape does not match targets")
 
-    best_q, best_resid = None, np.inf
+    primal = _Primal(problem)
+    residuals = dual.residuals
+    alpha = dual.alpha
+    # alpha of the current and of the best iterate; None is the warm start
+    q_alpha, best_alpha, best_resid = None, None, np.inf
     converged = False
     iterations = 0
-    q = problem.targets
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        if it == 1 and cfg.warm_start is not None:
-            q = cfg.warm_start
+        if it == 1 and warm is not None:
+            q_alpha, q = None, warm.values
         else:
-            q = primal_update(problem, dual)
-        resid = float(np.abs(class_mass(q) - problem.mass).max())
+            q_alpha, q = alpha, primal(alpha)
+            if q is None:
+                q = problem.targets.values
+        grad, resid = _mass_residual(q, problem.mass)
+        residuals.append(resid)
         if resid < best_resid:
-            best_q, best_resid = q, resid
+            best_alpha, best_resid = q_alpha, resid
         if resid <= cfg.tol:
-            dual.residuals.append(resid)
             converged = True
             break
-        if dual.residuals and resid > dual.residuals[-1]:
-            dual.eta /= 2.0
-            eta_schedule.append((it, dual.eta))
-        dual = dual_step(dual, q, problem.mass)
+        if it > 1 and resid > residuals[-2]:
+            eta /= 2.0
+            eta_schedule.append((it, eta))
+        alpha = alpha + eta * grad
 
-    final_q = q if converged else best_q
+    final_alpha = q_alpha if converged else best_alpha
+    final_q = warm if final_alpha is None else primal.matrix(final_alpha)
+    dual.alpha, dual.eta = alpha, eta
+    dual.iterations = iterations - int(converged)
     return RefineResult(
         matrix=final_q,
         dual=dual,

@@ -4,6 +4,9 @@ These deliberately avoid the algorithms used by the package: the refinement
 oracle is a Euclidean projected-gradient method (exact active-set polytope
 projections), classification oracles are nearest-centroid and a hand-rolled
 logistic regression, and gradients are checked by central finite differences.
+The frozen copies of the original dual-ascent refinement loop and 1-D
+logistic fit are the exception: they pin the package's faster rewrites to
+the original arithmetic bit for bit.
 """
 
 import numpy as np
@@ -154,6 +157,79 @@ def pgd_refine(targets, weights, col_sums, tol=1e-10, max_iters=100_000):
 
 
 # ---------------------------------------------------------------------------
+# frozen dual-ascent refinement loop
+
+def dual_ascent_reference(targets, forget_rows, retain_rows, lam, mass,
+                          tol=1e-6, max_iters=10_000, eta=None,
+                          warm_start=None):
+    """A frozen copy of the package's original refinement loop.
+
+    Each iteration builds the N x K exponent matrix, clamps it, forms
+    Q_ik ~ target_ik * exp(-alpha_k / c_i), sums the class masses, and then
+    sums them again for the dual ascent, exactly as the solver first did.
+    The package's solver must reproduce every output bit for bit.  Returns
+    a dict: ``matrix`` (values; ``targets`` itself when alpha was zero),
+    ``residuals``, ``alpha``, ``eta``, ``eta_schedule``, ``objective``,
+    ``iterations``, ``dual_iterations`` and ``converged``.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    mass = np.asarray(mass, dtype=np.float64)
+    forget_rows = np.asarray(forget_rows, dtype=np.int64)
+    retain_rows = np.asarray(retain_rows, dtype=np.int64)
+    n = targets.shape[0]
+    c = np.ones(n)
+    c[retain_rows] = lam
+
+    def primal(alpha):
+        expo = np.clip(-alpha[None, :] / c[:, None], -50.0, 50.0)
+        if not np.isfinite(expo).all():
+            raise FloatingPointError("non-finite exponent")
+        if not expo.any():
+            return targets
+        w = targets * np.exp(expo)
+        q = w / w.sum(axis=1, keepdims=True)
+        return np.maximum(q, 1e-12)
+
+    eta = eta if eta is not None else 0.1 / n
+    alpha = np.zeros(targets.shape[1])
+    residuals, eta_schedule = [], [(0, eta)]
+    dual_iterations = 0
+    best_q, best_resid = None, np.inf
+    converged = False
+    iterations = 0
+    q = targets
+    for it in range(1, max_iters + 1):
+        iterations = it
+        if it == 1 and warm_start is not None:
+            q = warm_start
+        else:
+            q = primal(alpha)
+        resid = float(np.abs(q.sum(axis=0) - mass).max())
+        if resid < best_resid:
+            best_q, best_resid = q, resid
+        if resid <= tol:
+            residuals.append(resid)
+            converged = True
+            break
+        if residuals and resid > residuals[-1]:
+            eta /= 2.0
+            eta_schedule.append((it, eta))
+        grad = q.sum(axis=0) - mass
+        residuals.append(float(np.abs(grad).max()))
+        alpha = alpha + eta * grad
+        dual_iterations += 1
+
+    final_q = q if converged else best_q
+    per_row = np.sum(final_q * np.log(final_q / targets), axis=1)
+    objective = float(per_row[forget_rows].sum()
+                      + lam * per_row[retain_rows].sum())
+    return {"matrix": final_q, "residuals": residuals, "alpha": alpha,
+            "eta": eta, "eta_schedule": eta_schedule, "objective": objective,
+            "iterations": iterations, "dual_iterations": dual_iterations,
+            "converged": converged}
+
+
+# ---------------------------------------------------------------------------
 # classification oracles
 
 def nearest_centroid_fit(X, y, n_classes):
@@ -184,6 +260,24 @@ def logistic_regression_error(X, y, lr=0.5, iters=2000):
         b -= lr * gz.sum(axis=0)
     pred = (X @ W + b).argmax(axis=1)
     return 100.0 * float(np.mean(pred != y))
+
+
+def logistic_1d_reference(z, y, lr=1.0, max_iters=5000, tol=1e-12):
+    """A frozen copy of the package's original 1-D logistic fit for the
+    membership-inference attack; the package's fit must return the same
+    ``(w, b)`` bit for bit."""
+    w = 0.0
+    b = 0.0
+    for _ in range(max_iters):
+        u = w * z + b
+        p = 1.0 / (1.0 + np.exp(-u))
+        gw = float(np.mean((p - y) * z))
+        gb = float(np.mean(p - y))
+        w -= lr * gw
+        b -= lr * gb
+        if max(abs(gw), abs(gb)) < tol:
+            break
+    return w, b
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from ppunlearn.errors import InsufficientDataError, UsageError
-from ppunlearn.evaluate import (MiaConfig, error_rate, evaluate_model,
-                                example_losses, mia_attack, time_stage)
+from ppunlearn.evaluate import (MiaConfig, _fit_logistic_1d, error_rate,
+                                evaluate_model, example_losses, mia_attack,
+                                time_stage)
 from ppunlearn.model import ModelLayout, init_model
+
+from oracles import logistic_1d_reference
 
 
 class TestErrorRate:
@@ -105,6 +108,23 @@ class TestMiaAttack:
         probs = forward_probs(small_model, xt[:10]).values
         manual = -np.log(probs[np.arange(10), yt[:10]])
         assert losses == pytest.approx(manual)
+
+
+class TestFitLogistic1d:
+    def test_matches_frozen_loop_bitwise(self, rng):
+        # separable sides run the whole iteration budget; overlapping ones
+        # stop at the gradient tolerance
+        cases = []
+        for n in (10, 20, 40):
+            z = np.concatenate([rng.normal(2.0, 0.5, n), rng.normal(-2.0, 0.5, n)])
+            cases.append((z, np.concatenate([np.ones(n), np.zeros(n)])))
+            z = rng.normal(size=2 * n)
+            cases.append((z, (rng.random(2 * n) < 0.5).astype(float)))
+        for z, y in cases:
+            z = (z - z.mean()) / z.std()
+            for max_iters in (1, 37, 5000):
+                assert (_fit_logistic_1d(z, y, max_iters=max_iters)
+                        == logistic_1d_reference(z, y, max_iters=max_iters))
 
 
 class TestTimeStage:

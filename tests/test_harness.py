@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ class TestRunDirectoryArtifacts:
         assert {"objective", "iterations", "residuals", "alpha",
                 "eta_schedule", "converged"} <= set(record)
 
+    def test_checkpoint_sidecars_hold_only_error_rates(self, tmp_path):
+        run_dir = tmp_path / "priv"
+        run_experiment(blob_config(run_dir, method="ppu-privacy"))
+        trajectory = json.loads((run_dir / "method.json").read_text())[
+            "trajectory"]
+        assert all("retain_kl" in entry for entry in trajectory)
+        for entry in trajectory:
+            sidecar = json.loads((run_dir / "checkpoints" /
+                                  f"epoch_{entry['epoch']:03d}.ckpt.json")
+                                 .read_text())
+            assert sidecar["error_rates"] == {
+                k: entry[k] for k in ("forget", "retain", "test")}
+
     def test_bench_three_methods_three_rows(self, tmp_path):
         run_dir = tmp_path / "bench"
         cfg = blob_config(run_dir)
@@ -282,6 +296,22 @@ class TestCli:
     def test_runtime_exit_code(self, tmp_path):
         from ppunlearn.cli import main
         assert main(["eval", "--run-dir", str(tmp_path / "missing")]) != 0
+
+    def test_truncated_run_file_exit_code(self, tmp_path, capsys):
+        # a crash mid-write leaves a truncated JSON file in the run directory
+        from ppunlearn.cli import main
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob_config(tmp_path / "run").to_dict()))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 0
+        for name in ("stages.json", "config.json", "method.json"):
+            run_dir = tmp_path / name
+            shutil.copytree(tmp_path / "run", run_dir)
+            path = run_dir / name
+            path.write_bytes(path.read_bytes()[:9])
+            capsys.readouterr()
+            assert main(["unlearn", "--config", str(cfg_path),
+                         "--out-dir", str(run_dir)]) == 3
+            assert str(path) in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path):
         from ppunlearn.cli import main

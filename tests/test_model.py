@@ -306,6 +306,34 @@ class TestCheckpointIo:
         path = tmp_path / "model.ckpt"
         save_model(params, path)
         data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(DataError):
+        for cut in (12, len(data) // 2, len(data) - 1):  # header, weights
+            path.write_bytes(data[:cut])
+            with pytest.raises(DataError):
+                load_model(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        params = init_model(ModelLayout(3, 5, 4), seed=11)
+        path = tmp_path / "model.ckpt"
+        save_model(params, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataError, match="trailing"):
             load_model(path)
+
+    def test_undecodable_sidecar(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(init_model(ModelLayout(3, 5, 4), seed=11), path, epoch=2)
+        sidecar = tmp_path / "model.ckpt.json"
+        sidecar.write_bytes(sidecar.read_bytes()[:5])
+        with pytest.raises(DataError, match="model.ckpt.json"):
+            load_model(path)
+
+    def test_non_finite_weight(self, tmp_path):
+        params = init_model(ModelLayout(3, 5, 4), seed=11)
+        path = tmp_path / "model.ckpt"
+        save_model(params, path)
+        data = path.read_bytes()
+        last = len(data) - 8  # the final entry of b2
+        for bad in (np.nan, np.inf, -np.inf):
+            path.write_bytes(data[:last] + np.float64(bad).tobytes())
+            with pytest.raises(DataError, match="non-finite"):
+                load_model(path)

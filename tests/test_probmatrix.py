@@ -181,3 +181,61 @@ def test_dump_round_trip(tmp_path, rng):
     back = load_probmatrix(path)
     assert np.array_equal(back.values, m.values)
     assert np.array_equal(back.row_ids, m.row_ids)
+
+
+class TestLoadValidation:
+    @staticmethod
+    def dump_raw(path, values, tail=b""):
+        """A dump whose payload is ``values`` as given, plus ``tail``."""
+        values = np.asarray(values, dtype=np.float64)
+        dump_probmatrix(ProbMatrix(np.full(values.shape, 1.0 / values.shape[1])),
+                        path)
+        data = path.read_bytes()
+        header = data[:data.index(b"\n") + 1]
+        path.write_bytes(header + values.astype("<f8").tobytes() + tail)
+
+    def test_rows_within_tolerance_load_bitwise(self, tmp_path):
+        # the constructor would renormalize these rows; the loader keeps them
+        vals = np.array([[0.1, 0.2, 0.7 + 4e-7], [1.0 - 3e-7, 1e-12, 0.0]])
+        path = tmp_path / "probs.pmx"
+        self.dump_raw(path, vals)
+        assert load_probmatrix(path).values.tobytes() == vals.tobytes()
+
+    def test_non_finite_entry_rejected(self, tmp_path):
+        path = tmp_path / "probs.pmx"
+        for bad in (np.nan, np.inf):
+            self.dump_raw(path, [[0.5, 0.5], [bad, 0.5]])
+            with pytest.raises(TargetError, match="finite"):
+                load_probmatrix(path)
+
+    def test_negative_entry_rejected(self, tmp_path):
+        path = tmp_path / "probs.pmx"
+        self.dump_raw(path, [[0.5, 0.5], [1.25, -0.25]])
+        with pytest.raises(TargetError, match="non-negative"):
+            load_probmatrix(path)
+
+    def test_row_sum_off_by_more_than_tolerance_rejected(self, tmp_path):
+        path = tmp_path / "probs.pmx"
+        self.dump_raw(path, [[0.5, 0.5], [0.5, 0.5 + 2e-6]])
+        with pytest.raises(TargetError, match="row 1 sums"):
+            load_probmatrix(path)
+
+    def test_wrong_byte_count_rejected(self, tmp_path):
+        path = tmp_path / "probs.pmx"
+        vals = np.full((3, 2), 0.5)
+        self.dump_raw(path, vals, tail=b"\x00")
+        with pytest.raises(ShapeError, match="payload bytes"):
+            load_probmatrix(path)
+        self.dump_raw(path, vals)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ShapeError, match="payload bytes"):
+            load_probmatrix(path)
+
+    def test_malformed_header_rejected(self, tmp_path):
+        path = tmp_path / "probs.pmx"
+        for header in (b"{\"format\": \"probm", b"[1, 2]",
+                       b'{"format": "probmatrix", "n": -1, "k": 2, '
+                       b'"row_ids": []}'):
+            path.write_bytes(header + b"\n")
+            with pytest.raises(ShapeError):
+                load_probmatrix(path)

@@ -4,10 +4,11 @@ import pytest
 from ppunlearn.errors import (InfeasibleProblemError, NumericalOverflowError,
                               ShapeError, UsageError)
 from ppunlearn.probmatrix import ProbMatrix, class_mass, pseudo_generate, PseudoScheme
-from ppunlearn.refine import (DualState, RefineConfig, RefineProblem,
-                              dual_step, objective, primal_update, refine)
+from ppunlearn.refine import (EXP_CLAMP, DualState, RefineConfig,
+                              RefineProblem, dual_step, objective,
+                              primal_update, refine)
 
-from oracles import pgd_refine
+from oracles import dual_ascent_reference, pgd_refine
 
 
 def random_instance(rng, n_max=6, k_max=3, lam_choices=(0.5, 1.0, 2.0)):
@@ -222,3 +223,87 @@ class TestRefine:
                           np.array([2.0, 1.0, 1.0]))
         with pytest.raises(UsageError):
             RefineProblem(targets, [0], [2, 3], 1.0, np.array([2.0, 1.0, 1.0]))
+
+
+def _loop_case(rng, k, lam, case):
+    """One refinement instance and config exercising ``case``."""
+    n = 24
+    targets = ProbMatrix(rng.dirichlet(np.full(k, 0.5), size=n),
+                         row_ids=rng.permutation(n))
+    mass = rng.dirichlet(np.ones(k), size=n).sum(axis=0)
+    perm = rng.permutation(n)
+    forget, retain = (perm[:0], perm) if case == "no-forget" else (perm[:6],
+                                                                    perm[6:])
+    problem = RefineProblem(targets, forget, retain, lam, mass)
+    cfg = RefineConfig(tol=1e-7, max_iters=2000, eta=20.0 / n)
+    if case == "warm-start":
+        cfg.warm_start = pseudo_generate(n, k, PseudoScheme("random-softmax",
+                                                            seed=5))
+    elif case == "halvings":
+        cfg.eta = 60.0 / n
+    elif case == "clamp":
+        # the first ascent overshoots far past the exponent clamp
+        cfg.eta, cfg.max_iters = 4000.0 / n, 300
+    elif case == "cut-off":
+        # stop at the last step-size halving within the budget: that
+        # iterate's residual rose, so the best iterate is an earlier one
+        cfg.eta, cfg.tol = 60.0 / n, 0.0
+        schedule = dual_ascent_reference(targets.values, forget, retain, lam,
+                                         mass, tol=0.0, max_iters=2000,
+                                         eta=cfg.eta)["eta_schedule"]
+        cfg.max_iters = schedule[-1][0] or 1
+    return problem, cfg
+
+
+class TestFrozenLoopEquivalence:
+    """Every output of ``refine`` equals the original loop's bit for bit."""
+
+    CASES = ("converged", "warm-start", "halvings", "clamp", "no-forget",
+             "cut-off")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 10])
+    def test_bitwise_equal_to_frozen_loop(self, k):
+        rng = np.random.default_rng(100 + k)
+        best_positions = []
+        for lam in (0.5, 1.0, 2.0):
+            for case in self.CASES:
+                p, cfg = _loop_case(rng, k, lam, case)
+                res = refine(p, cfg)
+                ref = dual_ascent_reference(
+                    p.targets.values, p.forget_rows, p.retain_rows, p.lam,
+                    p.mass, tol=cfg.tol, max_iters=cfg.max_iters, eta=cfg.eta,
+                    warm_start=None if cfg.warm_start is None
+                    else cfg.warm_start.values)
+                where = f"k={k} lam={lam} case={case}"
+                assert res.matrix.values.tobytes() == ref["matrix"].tobytes(), where
+                assert res.dual.residuals == ref["residuals"], where
+                assert res.dual.alpha.tobytes() == ref["alpha"].tobytes(), where
+                assert res.dual.eta == ref["eta"], where
+                assert res.eta_schedule == ref["eta_schedule"], where
+                assert res.objective == ref["objective"], where
+                assert res.iterations == ref["iterations"], where
+                assert res.dual.iterations == ref["dual_iterations"], where
+                assert res.converged == ref["converged"], where
+                if res.matrix is not cfg.warm_start:
+                    assert np.array_equal(res.matrix.row_ids,
+                                          p.targets.row_ids), where
+                if k > 1:
+                    self.check_case_reached(case, p, cfg, res)
+                if case == "cut-off":
+                    best_positions.append(int(np.argmin(res.dual.residuals)))
+        # at least one cut-off rebuilds its best iterate from a nonzero alpha
+        assert k == 1 or max(best_positions) > 0
+
+    @staticmethod
+    def check_case_reached(case, p, cfg, res):
+        if case in ("converged", "warm-start", "halvings", "no-forget"):
+            assert res.converged
+        if case == "halvings":
+            assert len(res.eta_schedule) > 1
+        if case == "clamp":
+            first = cfg.eta * (class_mass(p.targets) - p.mass)
+            assert np.abs(first).max() / min(1.0, p.lam) > EXP_CLAMP
+        if case == "cut-off":
+            resid = res.dual.residuals
+            assert not res.converged and res.iterations == cfg.max_iters
+            assert int(np.argmin(resid)) < len(resid) - 1
