@@ -5,7 +5,17 @@ set with pseudo-probabilities, optionally refine them under class-mass
 constraints, and fine-tune the weights toward the result.  Includes
 baselines (retrain / finetune / NegGrad+), a loss-based membership-inference
 attack, stage timing, and a reproducible experiment harness.
+
+``PPUNLEARN_THREADS`` caps the BLAS threads.  It is read here, before any
+import: BLAS sizes its thread pool once, when NumPy first loads.
 """
+
+import os as _os
+
+_threads = _os.environ.get("PPUNLEARN_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _threads)
 
 from .data import (Dataset, ForgetSpec, SplitResult, gen_blobs, load_csv,
                    load_dataset, make_forget_split, save_dataset)

@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset, SplitResult
 from .errors import SpecError, UsageError
 from .model import (ModelLayout, ModelParams, TrainConfig, _forward,
-                    _loss_and_grads, init_model, train_ce)
+                    _loss_and_grads, _momentum_step, init_model, train_ce)
 from .pipeline import UnlearnReport
 
 KINDS = ("retrain", "original", "finetune", "neggrad-plus")
@@ -101,10 +101,8 @@ def neggrad_plus(model: ModelParams, data: Dataset, split: SplitResult,
             return NegGradResult(params, diverged=True, steps=step)
         _, grads_r = _loss_and_grads(params, xr[br], Tr[br], "cross-entropy")
         _, grads_f = _loss_and_grads(params, xf[bf], Tf[bf], "cross-entropy")
-        tensors = params.tensors()
-        for i, (t, gr, gf) in enumerate(zip(tensors, grads_r, grads_f)):
-            vel[i] = cfg.momentum * vel[i] - cfg.lr * (gr - ascent_weight * gf)
-            t += vel[i]
+        _momentum_step(params, vel, [gr - ascent_weight * gf
+                                     for gr, gf in zip(grads_r, grads_f)], cfg)
     return NegGradResult(params, diverged=False, steps=iters)
 
 
@@ -112,6 +110,8 @@ def run_baseline(spec: BaselineSpec, data: Dataset, split: SplitResult,
                  original: ModelParams | None = None,
                  layout: ModelLayout | None = None) -> UnlearnReport:
     """Run one baseline and wrap the outcome in the uniform report shape."""
+    if original is None and spec.kind != "retrain":
+        raise UsageError(f"the {spec.kind} baseline needs the original model")
     flags = {}
     t0 = time.perf_counter()
     if spec.kind == "retrain":
@@ -121,16 +121,10 @@ def run_baseline(spec: BaselineSpec, data: Dataset, split: SplitResult,
             layout = original.layout
         params = retrain(data, split, spec.train, layout)
     elif spec.kind == "original":
-        if original is None:
-            raise UsageError("the original baseline needs the original model")
         params = original.copy()
     elif spec.kind == "finetune":
-        if original is None:
-            raise UsageError("finetune needs the original model")
         params = finetune_retain(original, data, split, spec.train)
     else:
-        if original is None:
-            raise UsageError("neggrad-plus needs the original model")
         result = neggrad_plus(original, data, split, spec.train,
                               spec.neggrad_iters, spec.ascent_weight)
         params = result.params

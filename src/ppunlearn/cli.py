@@ -2,7 +2,8 @@
 
 Subcommands: generate-data, train, unlearn, eval, mia, bench, sweep, report.
 `PPUNLEARN_OUT_ROOT` prefixes relative output directories;
-`PPUNLEARN_THREADS` caps BLAS threads (read before numpy loads).
+`PPUNLEARN_THREADS` caps BLAS threads (read by the package, before NumPy
+loads).
 
 Exit codes: 0 success, 2 validation error, 3 runtime error,
 4 refinement did not converge.
@@ -15,15 +16,12 @@ import json
 import os
 import sys
 
+from .errors import UnlearnError, UsageError
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_NONCONVERGENCE = 4
-
-_threads = os.environ.get("PPUNLEARN_THREADS")
-if _threads:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
 
 
 def _out_path(path: str) -> str:
@@ -34,9 +32,8 @@ def _out_path(path: str) -> str:
 
 
 def _load_config(path: str):
-    from .harness import ExperimentConfig
-    with open(path, encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_dict(json.load(fh))
+    from .harness import ExperimentConfig, _read_json
+    cfg = ExperimentConfig.from_dict(_read_json(path))
     cfg.out_dir = _out_path(cfg.out_dir)
     return cfg
 
@@ -66,7 +63,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    from .harness import run_experiment
+    from .harness import _master_seeds, run_experiment
     cfg = _load_config(args.config)
     if args.method:
         cfg.method = args.method
@@ -79,8 +76,7 @@ def _cmd_unlearn(args) -> int:
     if args.selection:
         cfg.selection = args.selection
     if args.seed is not None:
-        cfg.seeds = {"data": args.seed, "model": args.seed + 1,
-                     "protocol": args.seed + 2}
+        cfg.seeds = _master_seeds(args.seed)
     if args.out_dir:
         cfg.out_dir = _out_path(args.out_dir)
     summary = run_experiment(cfg)
@@ -99,49 +95,33 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_mia(args) -> int:
-    from .data import load_dataset, make_forget_split, ForgetSpec
-    from .evaluate import MiaConfig, mia_attack
-    from .harness import ExperimentConfig, _read_json
+    from dataclasses import asdict
+    from .data import load_dataset, make_forget_split
+    from .harness import (ExperimentConfig, _forget_spec, _mia_report,
+                          _read_json)
     from .model import load_model
     run_dir = _out_path(args.run_dir)
     cfg = ExperimentConfig.from_dict(_read_json(os.path.join(run_dir,
                                                              "config.json")))
+    cfg.mia = dict(cfg.mia, repetitions=args.repetitions)
     ds = load_dataset(os.path.join(run_dir, "dataset"))
-    spec = ForgetSpec(mode=cfg.forget["mode"],
-                      target_class=cfg.forget.get("target_class", 0),
-                      count=cfg.forget.get("count"),
-                      seed=cfg.forget.get("seed", cfg.seeds["protocol"]))
-    split = make_forget_split(ds, spec)
+    split = make_forget_split(ds, _forget_spec(cfg))
     params, _ = load_model(os.path.join(run_dir, "unlearned.ckpt"))
-    report = mia_attack(params, ds.arrays_at(split.forget_idx),
-                        ds.split_arrays("test"),
-                        MiaConfig(repetitions=args.repetitions,
-                                  seed=cfg.seeds["protocol"]))
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    report = _mia_report(cfg, ds, split, params)
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
     from .data import make_forget_split
-    from .harness import bench_methods, _build_dataset, _forget_spec
-    from .model import ModelLayout, init_model, train_ce, TrainConfig
+    from .harness import (_build_dataset, _forget_spec, _train_original,
+                          bench_methods)
     cfg = _load_config(args.config)
-    problems = cfg.validate()
-    if problems:
-        raise _Validation("; ".join(problems))
+    cfg.check()
     ds = _build_dataset(cfg)
     split = make_forget_split(ds, _forget_spec(cfg))
-    layout = ModelLayout(ds.dim, cfg.model.get("hidden", 32), ds.n_classes)
-    original = train_ce(
-        init_model(layout, seed=cfg.seeds["model"]),
-        *ds.split_arrays("train"),
-        TrainConfig(lr=cfg.model.get("lr", 0.05),
-                    epochs=cfg.model.get("epochs", 40),
-                    batch_size=cfg.model.get("batch_size", 32),
-                    momentum=cfg.model.get("momentum", 0.9),
-                    seed=cfg.seeds["model"]),
-    )
-    records = bench_methods(cfg, ds, split, original, layout)
+    original = _train_original(cfg, ds)
+    records = bench_methods(cfg, ds, split, original)
     for rec in records:
         print(f"{rec.label}: {rec.mean:.4f}s +- {rec.std_error:.4f}s "
               f"over {len(rec.samples)} runs")
@@ -149,16 +129,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .harness import sweep_lambda, sweep_seeds
+    from .harness import sweep_axis
     cfg = _load_config(args.config)
     if args.lam:
-        rows = sweep_lambda(cfg, [float(x) for x in args.lam.split(",")])
-        axis = "lam"
+        axis, values = "lam", args.lam
     elif args.seeds:
-        rows = sweep_seeds(cfg, [int(x) for x in args.seeds.split(",")])
-        axis = "seed"
+        axis, values = "seed", args.seeds
     else:
-        raise _Validation("sweep needs --lam or --seeds")
+        raise UsageError("sweep needs --lam or --seeds")
+    rows = sweep_axis(cfg, axis, values.split(","))
     print(f"{axis},retain_error,forget_error")
     for value, r, f in rows:
         print(f"{value:g},{r:.2f},{f:.2f}")
@@ -176,11 +155,10 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-class _Validation(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from .harness import METHODS
+    from .pipeline import CRITERIA
+    from .probmatrix import PseudoScheme
     p = argparse.ArgumentParser(prog="ppunlearn",
                                 description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -207,16 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     u = sub.add_parser("unlearn", help="run an experiment from a JSON config")
     u.add_argument("--config", required=True)
-    u.add_argument("--method", choices=["ppu-bias", "ppu-privacy", "adaptive",
-                                        "baseline:retrain",
-                                        "baseline:original",
-                                        "baseline:finetune",
-                                        "baseline:neggrad-plus"])
+    u.add_argument("--method", choices=METHODS)
     u.add_argument("--lam", type=float)
-    u.add_argument("--scheme", choices=["uniform", "random-softmax"])
+    u.add_argument("--scheme", choices=PseudoScheme.KINDS)
     u.add_argument("--epochs", type=int, help="fine-tune epoch override")
-    u.add_argument("--selection", choices=["forget-error-proxy",
-                                           "output-distance"])
+    u.add_argument("--selection", choices=CRITERIA)
     u.add_argument("--seed", type=int, help="master seed override")
     u.add_argument("--out-dir")
     u.set_defaults(fn=_cmd_unlearn)
@@ -248,10 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .errors import UnlearnError, UsageError
     try:
         return args.fn(args)
-    except (_Validation, UsageError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except UnlearnError as exc:

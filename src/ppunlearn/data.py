@@ -79,13 +79,15 @@ class Dataset:
 class ForgetSpec:
     """What to forget: an entire class, or m seeded samples from one class."""
 
-    mode: str                  # "class" | "selective"
+    mode: str                  # one of MODES
     target_class: int
     count: int | None = None   # selective only
     seed: int = 0
 
+    MODES = ("class", "selective")
+
     def __post_init__(self):
-        if self.mode not in ("class", "selective"):
+        if self.mode not in self.MODES:
             raise SpecError(f"unknown forget mode {self.mode!r}")
         if self.mode == "selective":
             if self.count is None or self.count < 1:

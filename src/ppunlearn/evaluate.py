@@ -31,14 +31,6 @@ class EvalReport:
     forget_error: float
     counts: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "test_error": self.test_error,
-            "retain_error": self.retain_error,
-            "forget_error": self.forget_error,
-            "counts": dict(self.counts),
-        }
-
 
 @dataclass
 class MiaConfig:
@@ -62,16 +54,6 @@ class MiaReport:
     attacker: str = "logistic-regression on per-example loss"
     split_seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "repetitions": self.repetitions,
-            "accuracies": list(self.accuracies),
-            "attacker": self.attacker,
-            "split_seed": self.split_seed,
-        }
-
 
 @dataclass
 class TimingRecord:
@@ -80,15 +62,6 @@ class TimingRecord:
     mean: float
     std_error: float
     host: str = field(default_factory=platform.node)
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "samples": list(self.samples),
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "host": self.host,
-        }
 
 
 def error_rate(params: ModelParams, inputs, labels) -> float:

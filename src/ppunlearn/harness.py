@@ -11,31 +11,31 @@ last completed stage and reproduces the same summary.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baselines import BaselineSpec, run_baseline
+from .baselines import KINDS, BaselineSpec, run_baseline
 from .data import (Dataset, ForgetSpec, gen_blobs, load_csv, load_dataset,
                    make_forget_split, save_dataset)
 from .errors import DataError, UsageError
 from .evaluate import MiaConfig, evaluate_model, mia_attack, time_stage
-from .model import (ModelLayout, TrainConfig, init_model, load_model,
-                    save_model, train_ce)
-from .pipeline import (ERROR_METRICS, UnlearnTask, adaptive_post, ppu_bias,
-                       ppu_privacy)
+from .model import (ModelLayout, ModelParams, TrainConfig, init_model,
+                    load_model, save_model, train_ce)
+from .pipeline import (CRITERIA, ERROR_METRICS, METHOD_NAMES, UnlearnTask,
+                       adaptive_post, ppu_bias, ppu_privacy)
 from .probmatrix import PseudoScheme
 from .refine import RefineConfig, save_refine_result
 
 SCHEMA_VERSION = 1
-METHODS = ("ppu-bias", "ppu-privacy", "adaptive",
-           "baseline:retrain", "baseline:original", "baseline:finetune",
-           "baseline:neggrad-plus")
+METHODS = tuple(METHOD_NAMES.values()) + tuple(f"baseline:{kind}"
+                                                for kind in KINDS)
 STAGES = ("data", "original", "method", "eval")
 
 
@@ -77,17 +77,17 @@ class ExperimentConfig:
             problems.append("dataset.kind: must be 'blobs' or 'csv'")
         if self.dataset.get("kind") == "csv" and not self.dataset.get("path"):
             problems.append("dataset.path: required for csv datasets")
-        if self.forget.get("mode") not in ("class", "selective"):
-            problems.append("forget.mode: must be 'class' or 'selective'")
-        if self.scheme.get("kind") not in ("uniform", "random-softmax"):
-            problems.append("scheme.kind: must be 'uniform' or 'random-softmax'")
+        if self.forget.get("mode") not in ForgetSpec.MODES:
+            problems.append(f"forget.mode: must be {_one_of(ForgetSpec.MODES)}")
+        if self.scheme.get("kind") not in PseudoScheme.KINDS:
+            problems.append(f"scheme.kind: must be {_one_of(PseudoScheme.KINDS)}")
         if self.lam <= 0:
             problems.append("lam: must be positive")
-        if self.selection not in ("forget-error-proxy", "output-distance"):
+        if self.selection not in CRITERIA:
             problems.append(f"selection: unknown criterion {self.selection!r}")
         if self.sweep is not None:
-            if set(self.sweep) - {"lam", "seed"}:
-                problems.append("sweep: only 'lam' and 'seed' axes exist")
+            if set(self.sweep) - set(SWEEP_AXES):
+                problems.append(f"sweep: axis must be {_one_of(SWEEP_AXES)}")
             for axis, values in self.sweep.items():
                 if not values:
                     problems.append(f"sweep.{axis}: list must be non-empty")
@@ -99,33 +99,27 @@ class ExperimentConfig:
         return problems
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "dataset": self.dataset,
-            "forget": self.forget,
-            "method": self.method,
-            "scheme": self.scheme,
-            "lam": self.lam,
-            "model": self.model,
-            "finetune": self.finetune,
-            "refine": self.refine,
-            "selection": self.selection,
-            "adaptive_style": self.adaptive_style,
-            "evals": self.evals,
-            "mia": self.mia,
-            "timing_repetitions": self.timing_repetitions,
-            "sweep": self.sweep,
-            "seeds": self.seeds,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise UsageError(
+                f"a config is a JSON object, not {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise UsageError(f"missing config fields: {missing}")
         return cls(**d)
+
+    def check(self) -> None:
+        """Raise UsageError listing every problem ``validate`` finds."""
+        problems = self.validate()
+        if problems:
+            raise UsageError("invalid config: " + "; ".join(problems))
 
     def config_hash(self) -> str:
         """Stable under field reordering: canonical JSON, sorted keys.
@@ -149,17 +143,11 @@ class RunSummary:
     provenance: str
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "method": self.method,
-            "eval_report": self.eval_report,
-            "mia_report": self.mia_report,
-            "timings": self.timings,
-            "refine_diagnostics": self.refine_diagnostics,
-            "selected_epoch": self.selected_epoch,
-            "flags": self.flags,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
+
+
+def _one_of(names) -> str:
+    return " or ".join(repr(name) for name in names)
 
 
 def _provenance() -> str:
@@ -224,6 +212,11 @@ def _forget_spec(cfg: ExperimentConfig) -> ForgetSpec:
     )
 
 
+def _master_seeds(seed: int) -> dict:
+    """The data, model and protocol seeds one master seed stands for."""
+    return {"data": seed, "model": seed + 1, "protocol": seed + 2}
+
+
 def _train_config(section: dict, seed: int, loss: str) -> TrainConfig:
     return TrainConfig(
         lr=section.get("lr", 0.05),
@@ -233,6 +226,25 @@ def _train_config(section: dict, seed: int, loss: str) -> TrainConfig:
         seed=seed,
         loss=loss,
     )
+
+
+def _train_original(cfg: ExperimentConfig, ds: Dataset) -> ModelParams:
+    """The original model that ``cfg.model`` describes, trained on the
+    train split; its ``layout`` is the one every method of the run uses."""
+    layout = ModelLayout(ds.dim, cfg.model.get("hidden", 32), ds.n_classes)
+    return train_ce(
+        init_model(layout, seed=cfg.seeds["model"]),
+        *ds.split_arrays("train"),
+        _train_config(cfg.model, cfg.seeds["model"], "cross-entropy"),
+    )
+
+
+def _baseline_spec(cfg: ExperimentConfig, kind: str) -> BaselineSpec:
+    """Retrain gets the original's training budget (``cfg.model``); the
+    other baselines get the fine-tune budget."""
+    section = cfg.model if kind == "retrain" else cfg.finetune
+    return BaselineSpec(kind=kind, train=_train_config(
+        section, cfg.seeds["model"], "cross-entropy"))
 
 
 def _scheme(cfg: ExperimentConfig) -> PseudoScheme:
@@ -257,9 +269,7 @@ def _refine_config(cfg: ExperimentConfig, n_train: int) -> RefineConfig:
 
 def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
     """Execute (or resume) one experiment and persist it under cfg.out_dir."""
-    problems = cfg.validate()
-    if problems:
-        raise UsageError("invalid config: " + "; ".join(problems))
+    cfg.check()
     run_dir = Path(cfg.out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
@@ -287,16 +297,11 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
     split = make_forget_split(ds, _forget_spec(cfg))
 
     # original model
-    layout = ModelLayout(ds.dim, cfg.model.get("hidden", 32), ds.n_classes)
     orig_path = run_dir / "original.ckpt"
     if "original" in done and orig_path.exists():
         original, _ = load_model(orig_path)
     else:
-        original = train_ce(
-            init_model(layout, seed=cfg.seeds["model"]),
-            *ds.split_arrays("train"),
-            _train_config(cfg.model, cfg.seeds["model"], "cross-entropy"),
-        )
+        original = _train_original(cfg, ds)
         save_model(original, orig_path, epoch=cfg.model.get("epochs"))
         _mark_stage(run_dir, "original")
 
@@ -307,7 +312,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
         params, _ = load_model(unlearned_path)
         method_record = _read_json(method_path)
     else:
-        report = _run_method(cfg, ds, split, original, layout)
+        report = _run_method(cfg, ds, split, original)
         params = report.params
         method_record = {
             "method": report.method,
@@ -334,29 +339,22 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
 
     # evaluation
     summary = _evaluate_run(cfg, ds, split, original, params, method_record,
-                            layout, chash)
+                            chash)
     _write_json(run_dir / "summary.json", summary.to_dict())
     _mark_stage(run_dir, "eval")
     return summary
 
 
-def _run_method(cfg, ds, split, original, layout):
-    method = cfg.method
-    if method.startswith("baseline:"):
-        kind = method.split(":", 1)[1]
-        spec = BaselineSpec(
-            kind=kind,
-            train=_train_config(cfg.finetune if kind != "retrain" else cfg.model,
-                                cfg.seeds["model"], "cross-entropy"),
-        )
-        return run_baseline(spec, ds, split, original=original, layout=layout)
+def _run_method(cfg, ds, split, original):
+    if cfg.method.startswith("baseline:"):
+        spec = _baseline_spec(cfg, cfg.method.split(":", 1)[1])
+        return run_baseline(spec, ds, split, original=original)
 
     n_train = len(ds.splits["train"])
     task = UnlearnTask(
         dataset=ds,
         split=split,
-        mode={"ppu-bias": "bias", "ppu-privacy": "privacy",
-              "adaptive": "adaptive"}[method],
+        mode={name: mode for mode, name in METHOD_NAMES.items()}[cfg.method],
         scheme=_scheme(cfg),
         finetune=_train_config(cfg.finetune, cfg.seeds["protocol"], "kl"),
         lam=cfg.lam,
@@ -364,39 +362,42 @@ def _run_method(cfg, ds, split, original, layout):
         selection=cfg.selection,
         adaptive_style=cfg.adaptive_style,
     )
-    if method == "ppu-bias":
+    # called by module-level name, so that wrappers installed on these
+    # names (tracing) see every call
+    if task.mode == "bias":
         return ppu_bias(original, task)
-    if method == "ppu-privacy":
+    if task.mode == "privacy":
         return ppu_privacy(original, task)
     # Adaptive runs after the finetune baseline by default.
-    pre_spec = BaselineSpec(
-        kind="finetune",
-        train=_train_config(cfg.finetune, cfg.seeds["model"], "cross-entropy"),
-    )
-    predecessor = run_baseline(pre_spec, ds, split, original=original,
-                               layout=layout)
+    predecessor = run_baseline(_baseline_spec(cfg, "finetune"), ds, split,
+                               original=original)
     return adaptive_post(predecessor.params, task)
 
 
-def _evaluate_run(cfg, ds, split, original, params, method_record, layout,
+def _mia_report(cfg: ExperimentConfig, ds, split, params):
+    """The membership-inference attack on ``params`` that ``cfg.mia``
+    configures: forget rows against the test split."""
+    return mia_attack(
+        params,
+        ds.arrays_at(split.forget_idx),
+        ds.split_arrays("test"),
+        MiaConfig(repetitions=cfg.mia.get("repetitions", 5),
+                  seed=cfg.seeds["protocol"]),
+    )
+
+
+def _evaluate_run(cfg, ds, split, original, params, method_record,
                   chash) -> RunSummary:
     eval_report = None
     mia_report = None
     timings = []
     if cfg.evals.get("errors", True):
-        eval_report = evaluate_model(params, ds, split).to_dict()
+        eval_report = asdict(evaluate_model(params, ds, split))
     if cfg.evals.get("mia", False):
-        mia = mia_attack(
-            params,
-            ds.arrays_at(split.forget_idx),
-            ds.split_arrays("test"),
-            MiaConfig(repetitions=cfg.mia.get("repetitions", 5),
-                      seed=cfg.seeds["protocol"]),
-        )
-        mia_report = mia.to_dict()
+        mia_report = asdict(_mia_report(cfg, ds, split, params))
     if cfg.evals.get("timing", False):
-        timings = [t.to_dict() for t in bench_methods(cfg, ds, split,
-                                                      original, layout)]
+        timings = [asdict(t) for t in bench_methods(cfg, ds, split,
+                                                    original)]
     return RunSummary(
         config_hash=chash,
         method=cfg.method,
@@ -410,100 +411,73 @@ def _evaluate_run(cfg, ds, split, original, params, method_record, layout,
     )
 
 
-def bench_methods(cfg: ExperimentConfig, ds, split, original, layout,
-                  methods=("method", "retrain", "finetune")):
-    """Warm-up once, then time the configured method against the baselines.
+def bench_methods(cfg: ExperimentConfig, ds, split, original):
+    """Warm-up once, then time the configured method against the Retrain
+    and Finetune baselines, each run as ``run_experiment`` runs it.
 
     Retrain gets the original training budget (cfg.model); the unlearning
     method and the finetune baseline run with the fine-tune budget.
     """
     records = []
-    reps = cfg.timing_repetitions
-
-    def run_method():
-        _run_method(cfg, ds, split, original, layout)
-
-    def run_retrain():
-        spec = BaselineSpec(kind="retrain",
-                            train=_train_config(cfg.model, cfg.seeds["model"],
-                                                "cross-entropy"))
-        run_baseline(spec, ds, split, original=original, layout=layout)
-
-    def run_finetune():
-        spec = BaselineSpec(kind="finetune",
-                            train=_train_config(cfg.finetune,
-                                                cfg.seeds["model"],
-                                                "cross-entropy"))
-        run_baseline(spec, ds, split, original=original, layout=layout)
-
-    thunks = {"method": (cfg.method, run_method),
-              "retrain": ("baseline:retrain", run_retrain),
-              "finetune": ("baseline:finetune", run_finetune)}
-    for name in methods:
-        label, thunk = thunks[name]
+    for method in (cfg.method, "baseline:retrain", "baseline:finetune"):
+        thunk = functools.partial(_run_method, replace(cfg, method=method),
+                                  ds, split, original)
         thunk()  # warm-up excluded from the timings
-        records.append(time_stage(label, thunk, repetitions=reps))
+        records.append(time_stage(method, thunk,
+                                  repetitions=cfg.timing_repetitions))
     return records
 
 
-def sweep_lambda(cfg: ExperimentConfig, lambdas) -> list:
-    """Run the method once per lambda with shared seeds; returns the table
-    [(lam, retain_error, forget_error), ...] and persists it as CSV."""
-    if cfg.method not in ("ppu-bias", "ppu-privacy"):
+# sweep axis -> (value type, CSV file, value format in the CSV and in the
+# child directory names)
+SWEEP_AXES = {"lam": (float, "sweep_lambda.csv", ".10g", "g"),
+              "seed": (int, "sweep_seeds.csv", "d", "d")}
+
+
+def sweep_axis(cfg: ExperimentConfig, axis: str, values) -> list:
+    """Run the method once per value of ``axis`` with everything else
+    shared: per lambda ("lam"), or per master seed ("seed", from which the
+    data, model and protocol seeds derive).  Each child run gets its own
+    directory under cfg.out_dir.  Returns [(value, retain_error,
+    forget_error), ...] and persists it as CSV."""
+    kind, csv_name, csv_format, dir_format = SWEEP_AXES[axis]
+    if axis == "lam" and cfg.method not in ("ppu-bias", "ppu-privacy"):
         raise UsageError("lambda sweeps need a ppu-bias or ppu-privacy method")
-    if not lambdas:
-        raise UsageError("lambda list must be non-empty")
+    if not values:
+        raise UsageError(f"a {axis} sweep needs at least one value")
+    try:
+        values = [kind(value) for value in values]
+    except ValueError as exc:
+        raise UsageError(f"{axis} sweep: {exc}") from exc
     rows = []
     parent = Path(cfg.out_dir)
     parent.mkdir(parents=True, exist_ok=True)
-    for lam in lambdas:
-        child = ExperimentConfig.from_dict(cfg.to_dict())
-        child.lam = float(lam)
-        child.sweep = None
-        child.out_dir = str(parent / f"lam_{lam:g}")
+    for value in values:
+        child = replace(cfg, sweep=None,
+                        out_dir=str(parent / f"{axis}_{value:{dir_format}}"))
+        if axis == "lam":
+            child.lam = value
+        else:
+            child.seeds = _master_seeds(value)
         summary = run_experiment(child)
-        rows.append((float(lam),
+        rows.append((value,
                      summary.eval_report["retain_error"],
                      summary.eval_report["forget_error"]))
-    with open(parent / "sweep_lambda.csv", "w", encoding="utf-8") as fh:
-        fh.write("lam,retain_error,forget_error\n")
-        for lam, r, f in rows:
-            fh.write(f"{lam:.10g},{r:.10g},{f:.10g}\n")
+    with open(parent / csv_name, "w", encoding="utf-8") as fh:
+        fh.write(f"{axis},retain_error,forget_error\n")
+        for value, r, f in rows:
+            fh.write(f"{value:{csv_format}},{r:.10g},{f:.10g}\n")
     return rows
+
+
+def sweep_lambda(cfg: ExperimentConfig, lambdas) -> list:
+    """``sweep_axis`` over lambda; writes sweep_lambda.csv."""
+    return sweep_axis(cfg, "lam", lambdas)
 
 
 def sweep_seeds(cfg: ExperimentConfig, seeds) -> list:
-    """Run the method once per master seed (data/model/protocol derived);
-    returns [(seed, retain_error, forget_error), ...] plus a CSV."""
-    if not seeds:
-        raise UsageError("seed list must be non-empty")
-    rows = []
-    parent = Path(cfg.out_dir)
-    parent.mkdir(parents=True, exist_ok=True)
-    for seed in seeds:
-        child = ExperimentConfig.from_dict(cfg.to_dict())
-        child.seeds = {"data": int(seed), "model": int(seed) + 1,
-                       "protocol": int(seed) + 2}
-        child.sweep = None
-        child.out_dir = str(parent / f"seed_{seed}")
-        summary = run_experiment(child)
-        rows.append((int(seed),
-                     summary.eval_report["retain_error"],
-                     summary.eval_report["forget_error"]))
-    with open(parent / "sweep_seeds.csv", "w", encoding="utf-8") as fh:
-        fh.write("seed,retain_error,forget_error\n")
-        for seed, r, f in rows:
-            fh.write(f"{seed},{r:.10g},{f:.10g}\n")
-    return rows
-
-
-def run_sweep(cfg: ExperimentConfig) -> list:
-    """Dispatch on the config's sweep axis."""
-    if not cfg.sweep:
-        raise UsageError("config has no sweep axis")
-    if "lam" in cfg.sweep:
-        return sweep_lambda(cfg, cfg.sweep["lam"])
-    return sweep_seeds(cfg, cfg.sweep["seed"])
+    """``sweep_axis`` over master seeds; writes sweep_seeds.csv."""
+    return sweep_axis(cfg, "seed", seeds)
 
 
 def emit_plot_data(run_dir) -> list:

@@ -204,6 +204,14 @@ def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None):
     return loss, (dw1, db1, dw2, db2)
 
 
+def _momentum_step(params, vel, grads, cfg) -> None:
+    """One SGD-with-momentum update of ``params`` and the velocities ``vel``,
+    in place: v <- momentum * v - lr * g, then w <- w + v."""
+    for i, (t, g) in enumerate(zip(params.tensors(), grads)):
+        vel[i] = cfg.momentum * vel[i] - cfg.lr * g
+        t += vel[i]
+
+
 def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
     """Shared mini-batch SGD loop; calls ``after_epoch(epoch, params)``."""
     params = params.copy()
@@ -216,10 +224,7 @@ def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
             rows = order[start:start + cfg.batch_size]
             bw = None if row_weights is None else row_weights[rows]
             _, grads = _loss_and_grads(params, X[rows], T[rows], kind, bw)
-            tensors = params.tensors()
-            for i, (t, g) in enumerate(zip(tensors, grads)):
-                vel[i] = cfg.momentum * vel[i] - cfg.lr * g
-                t += vel[i]
+            _momentum_step(params, vel, grads, cfg)
         if after_epoch is not None:
             after_epoch(epoch, params)
     return params

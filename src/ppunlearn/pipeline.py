@@ -25,7 +25,10 @@ from .model import (CheckpointSet, ModelParams, TrainConfig, finetune_kl,
 from .probmatrix import PseudoScheme, pseudo_generate, replace_rows
 from .refine import RefineConfig, problem_from_outputs, refine
 
-MODES = ("bias", "privacy", "adaptive")
+# the method name a run in each mode reports, as configs spell it
+METHOD_NAMES = {"bias": "ppu-bias", "privacy": "ppu-privacy",
+                "adaptive": "adaptive"}
+MODES = tuple(METHOD_NAMES)
 CRITERIA = ("forget-error-proxy", "output-distance")
 # trajectory metrics that are error percentages on labelled subsets; the
 # others (``kl_loss``, ``retain_kl``) are divergences
@@ -57,9 +60,13 @@ class UnlearnTask:
             raise UsageError(f"lambda must be positive, got {self.lam}")
         if self.finetune.loss != "kl":
             raise UsageError("fine-tuning config must use the KL loss")
-        style = self.adaptive_style if self.mode == "adaptive" else self.mode
-        if style == "privacy" and self.refine_cfg is None:
+        if self.style == "privacy" and self.refine_cfg is None:
             raise UsageError("privacy mode requires a refinement config")
+
+    @property
+    def style(self) -> str:
+        """The variant that runs: the mode, or adaptive mode's style."""
+        return self.adaptive_style if self.mode == "adaptive" else self.mode
 
 
 @dataclass
@@ -127,9 +134,9 @@ def _train_positions(ds: Dataset, split: SplitResult):
     return train, fpos, rpos
 
 
-def _run_ppu(source: ModelParams, task: UnlearnTask, style: str,
-             method: str) -> UnlearnReport:
+def _run_ppu(source: ModelParams, task: UnlearnTask) -> UnlearnReport:
     ds, split = task.dataset, task.split
+    style, method = task.style, METHOD_NAMES[task.mode]
     train_idx, fpos, rpos = _train_positions(ds, split)
     X = ds.inputs[train_idx]
     timings, flags = {}, {}
@@ -220,14 +227,14 @@ def ppu_bias(model: ModelParams, task: UnlearnTask) -> UnlearnReport:
     """Bias-removal unlearning: direct substitution, no refinement."""
     if task.mode != "bias":
         raise UsageError(f"task mode is {task.mode!r}, expected 'bias'")
-    return _run_ppu(model, task, "bias", method="ppu-bias")
+    return _run_ppu(model, task)
 
 
 def ppu_privacy(model: ModelParams, task: UnlearnTask) -> UnlearnReport:
     """Privacy-preserving unlearning: refinement plus checkpoint selection."""
     if task.mode != "privacy":
         raise UsageError(f"task mode is {task.mode!r}, expected 'privacy'")
-    return _run_ppu(model, task, "privacy", method="ppu-privacy")
+    return _run_ppu(model, task)
 
 
 def adaptive_post(predecessor: ModelParams, task: UnlearnTask) -> UnlearnReport:
@@ -235,4 +242,4 @@ def adaptive_post(predecessor: ModelParams, task: UnlearnTask) -> UnlearnReport:
     seeding targets from the predecessor's outputs."""
     if task.mode != "adaptive":
         raise UsageError(f"task mode is {task.mode!r}, expected 'adaptive'")
-    return _run_ppu(predecessor, task, task.adaptive_style, method="adaptive")
+    return _run_ppu(predecessor, task)

@@ -96,6 +96,11 @@ class RefineConfig:
     eta: float | None = None            # default 0.1 / N
     warm_start: ProbMatrix | None = None
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise UsageError(
+                f"refinement needs max_iters >= 1, got {self.max_iters}")
+
 
 @dataclass
 class RefineResult:

@@ -4,9 +4,9 @@ These deliberately avoid the algorithms used by the package: the refinement
 oracle is a Euclidean projected-gradient method (exact active-set polytope
 projections), classification oracles are nearest-centroid and a hand-rolled
 logistic regression, and gradients are checked by central finite differences.
-The frozen copies of the original dual-ascent refinement loop and 1-D
-logistic fit are the exception: they pin the package's faster rewrites to
-the original arithmetic bit for bit.
+The frozen copies of the original dual-ascent refinement loop, 1-D
+logistic fit and NegGrad+ loop are the exception: they pin the package's
+rewrites to the original arithmetic bit for bit.
 """
 
 import numpy as np
@@ -278,6 +278,37 @@ def logistic_1d_reference(z, y, lr=1.0, max_iters=5000, tol=1e-12):
         if max(abs(gw), abs(gb)) < tol:
             break
     return w, b
+
+
+def neggrad_plus_reference(model, data, split, cfg, iters, ascent_weight):
+    """A frozen copy of the package's original NegGrad+ loop, with its own
+    momentum update; returns ``(params, diverged, steps)``.  Only the
+    forward pass, the gradients and the divergence signal come from the
+    package."""
+    from ppunlearn.baselines import _raw_ce
+    from ppunlearn.model import _loss_and_grads
+    xr, yr = data.arrays_at(split.retain_idx)
+    xf, yf = data.arrays_at(split.forget_idx)
+    K = model.layout.n_classes
+    Tr = np.zeros((len(yr), K))
+    Tr[np.arange(len(yr)), yr] = 1.0
+    Tf = np.zeros((len(yf), K))
+    Tf[np.arange(len(yf)), yf] = 1.0
+    params = model.copy()
+    rng = np.random.default_rng(cfg.seed)
+    vel = [np.zeros_like(t) for t in params.tensors()]
+    for step in range(1, iters + 1):
+        br = rng.choice(len(yr), size=min(cfg.batch_size, len(yr)), replace=False)
+        bf = rng.choice(len(yf), size=min(cfg.batch_size, len(yf)), replace=False)
+        if _raw_ce(params, xr[br], yr[br]) > 1e3:
+            return params, True, step
+        _, grads_r = _loss_and_grads(params, xr[br], Tr[br], "cross-entropy")
+        _, grads_f = _loss_and_grads(params, xf[bf], Tf[bf], "cross-entropy")
+        for i, (t, gr, gf) in enumerate(zip(params.tensors(), grads_r,
+                                            grads_f)):
+            vel[i] = cfg.momentum * vel[i] - cfg.lr * (gr - ascent_weight * gf)
+            t += vel[i]
+    return params, False, iters
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from ppunlearn.errors import SpecError
 from ppunlearn.evaluate import error_rate, evaluate_model
 from ppunlearn.model import ModelLayout, TrainConfig
 
-from oracles import nearest_centroid_fit, nearest_centroid_predict
+from oracles import (nearest_centroid_fit, nearest_centroid_predict,
+                     neggrad_plus_reference)
 
 
 def ce_cfg(epochs=30, lr=0.05, seed=11):
@@ -112,6 +113,23 @@ class TestNegGradPlus:
                            ce_cfg(lr=5.0), iters=400, ascent_weight=10.0)
         assert res.diverged
         assert res.steps < 400
+
+    @pytest.mark.parametrize("lr, iters, ascent_weight, diverges", [
+        (0.05, 60, 0.5, False),
+        (5.0, 400, 10.0, True),
+    ])
+    def test_matches_frozen_loop(self, small_blobs, small_split, small_model,
+                                 lr, iters, ascent_weight, diverges):
+        cfg = TrainConfig(lr=lr, epochs=1, batch_size=32, momentum=0.9,
+                          seed=11)
+        res = neggrad_plus(small_model, small_blobs, small_split, cfg,
+                           iters=iters, ascent_weight=ascent_weight)
+        params, diverged, steps = neggrad_plus_reference(
+            small_model, small_blobs, small_split, cfg, iters, ascent_weight)
+        assert (res.diverged, res.steps) == (diverged, steps)
+        assert diverged == diverges
+        for ta, tb in zip(res.params.tensors(), params.tensors()):
+            assert np.array_equal(ta, tb)
 
 
 class TestRunBaseline:

@@ -1,10 +1,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ppunlearn
 from ppunlearn.errors import UsageError
 from ppunlearn.harness import (ExperimentConfig, emit_plot_data, load_summary,
                                run_experiment, sweep_lambda)
@@ -174,7 +177,7 @@ class TestRunDirectoryArtifacts:
     def test_bench_leaves_run_directory_untouched(self, tmp_path):
         from ppunlearn.data import load_dataset, make_forget_split
         from ppunlearn.harness import _forget_spec, bench_methods
-        from ppunlearn.model import ModelLayout, load_model
+        from ppunlearn.model import load_model
         run_dir = tmp_path / "priv"
         cfg = blob_config(run_dir, method="ppu-privacy")
         cfg.refine = {"eta": "1.0/n"}
@@ -190,8 +193,7 @@ class TestRunDirectoryArtifacts:
         ds = load_dataset(run_dir / "dataset")
         split = make_forget_split(ds, _forget_spec(cfg))
         original, _ = load_model(run_dir / "original.ckpt")
-        layout = ModelLayout(ds.dim, cfg.model["hidden"], ds.n_classes)
-        records = bench_methods(cfg, ds, split, original, layout)
+        records = bench_methods(cfg, ds, split, original)
         assert [r.label for r in records] == [
             "ppu-privacy", "baseline:retrain", "baseline:finetune"]
         assert state() == before
@@ -208,12 +210,17 @@ class TestSweep:
 
     def test_child_runs_persisted(self, tmp_path):
         cfg = blob_config(tmp_path / "sweep")
-        rows = sweep_lambda(cfg, [1.0, 2.0])
-        assert len(rows) == 2
+        rows = sweep_lambda(cfg, [1.0, 2.0, 0.5])
+        assert len(rows) == 3
         assert (tmp_path / "sweep" / "lam_1" / "summary.json").exists()
         assert (tmp_path / "sweep" / "lam_2" / "summary.json").exists()
-        table = (tmp_path / "sweep" / "sweep_lambda.csv").read_text()
-        assert table.startswith("lam,retain_error,forget_error")
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+            "lam_0.5", "lam_1", "lam_2", "sweep_lambda.csv"]
+        table = (tmp_path / "sweep" / "sweep_lambda.csv").read_bytes()
+        assert table == (b"lam,retain_error,forget_error\n"
+                         b"1,0.7228915663,0\n"
+                         b"2,0.2409638554,0\n"
+                         b"0.5,0.7228915663,0\n")
 
     def test_sweep_needs_ppu_method(self, tmp_path):
         cfg = blob_config(tmp_path, method="baseline:retrain")
@@ -226,7 +233,12 @@ class TestSweep:
         rows = sweep_seeds(cfg, [3, 4])
         assert [r[0] for r in rows] == [3, 4]
         assert (tmp_path / "seeds" / "seed_3" / "summary.json").exists()
-        assert (tmp_path / "seeds" / "sweep_seeds.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "seeds").iterdir()) == [
+            "seed_3", "seed_4", "sweep_seeds.csv"]
+        assert (tmp_path / "seeds" / "sweep_seeds.csv").read_bytes() == (
+            b"seed,retain_error,forget_error\n"
+            b"3,0.2409638554,4\n"
+            b"4,0.2409638554,0\n")
 
 
 class TestEmitPlotData:
@@ -319,6 +331,16 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["sweep", "--config", str(cfg_path), "--lam", "1,2"]) == 0
+        # the same sweep and table as ``sweep_lambda``
+        assert (tmp_path / "sweep" / "sweep_lambda.csv").read_bytes() == (
+            b"lam,retain_error,forget_error\n"
+            b"1,0.7228915663,0\n"
+            b"2,0.2409638554,0\n")
+        # a value that does not parse is rejected before any child runs
+        cfg.out_dir = str(tmp_path / "bad")
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["sweep", "--config", str(cfg_path), "--lam", "1,x"]) == 2
+        assert not (tmp_path / "bad").exists()
 
     def test_unlearn_overrides(self, tmp_path):
         from ppunlearn.cli import main
@@ -342,3 +364,88 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["unlearn", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "rooted_run" / "summary.json").exists()
+
+    def test_malformed_config_file_exit_code(self, tmp_path, capsys):
+        from ppunlearn.cli import main
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"dataset": ')
+        for command in ("unlearn", "bench", "sweep"):
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg_path)]) == 3
+            assert f"{cfg_path}: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, message", [
+        ({}, "missing config fields: "
+             "['dataset', 'forget', 'method', 'out_dir']"),
+        ([], "a config is a JSON object, not list"),
+    ])
+    def test_incomplete_config_exit_code(self, tmp_path, capsys, payload,
+                                         message):
+        from ppunlearn.cli import main
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        # the config.json of a run directory is read the same way
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "config.json").write_text(json.dumps(payload))
+        assert main(["mia", "--run-dir", str(run_dir)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_refine_without_iterations_exit_code(self, tmp_path, capsys):
+        from ppunlearn.cli import main
+        cfg = blob_config(tmp_path / "run", method="ppu-privacy")
+        cfg.refine = {"max_iters": 0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 2
+        assert "max_iters >= 1, got 0" in capsys.readouterr().err
+
+    def test_bench_times_against_the_run_original(self, tmp_path, monkeypatch):
+        # with no "epochs" in the model section, bench must train the same
+        # original model that run_experiment trains and saves
+        from ppunlearn import harness
+        from ppunlearn.cli import main
+        from ppunlearn.model import load_model
+        cfg = blob_config(tmp_path / "run", method="baseline:original")
+        cfg.model = {"hidden": 16, "lr": 0.05}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        received = []
+
+        def capture(cfg, ds, split, original):
+            received.append(original)
+            return []
+
+        monkeypatch.setattr(harness, "bench_methods", capture)
+        assert main(["bench", "--config", str(cfg_path)]) == 0
+        run_experiment(cfg)
+        saved, _ = load_model(tmp_path / "run" / "original.ckpt")
+        assert len(received) == 1
+        for a, b in zip(received[0].tensors(), saved.tensors()):
+            assert np.array_equal(a, b)
+
+    def test_threads_env_applied_before_numpy_loads(self):
+        # BLAS sizes its thread pool when NumPy loads, so PPUNLEARN_THREADS
+        # only works if the package applies it before its first import
+        script = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+sys.meta_path.insert(0, Spy())
+from ppunlearn.cli import main
+print(seen[0])
+"""
+        src = os.path.dirname(os.path.dirname(ppunlearn.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(PPUNLEARN_THREADS="1", PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=60)
+        assert out.stdout.split() == ["1"]

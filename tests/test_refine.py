@@ -190,6 +190,13 @@ class TestRefine:
         assert res.iterations == 3
         assert len(res.dual.residuals) >= 1
 
+    def test_max_iters_below_one_rejected(self, rng):
+        # with no iteration there is no iterate to return
+        p = random_instance(rng)
+        for max_iters in (0, -1):
+            with pytest.raises(UsageError, match="max_iters"):
+                refine(p, RefineConfig(max_iters=max_iters))
+
     def test_residual_non_increasing_after_transient(self, rng):
         for _ in range(10):
             p = random_instance(rng)
