@@ -107,19 +107,15 @@ def neggrad_plus(model: ModelParams, data: Dataset, split: SplitResult,
 
 
 def run_baseline(spec: BaselineSpec, data: Dataset, split: SplitResult,
-                 original: ModelParams | None = None,
-                 layout: ModelLayout | None = None) -> UnlearnReport:
-    """Run one baseline and wrap the outcome in the uniform report shape."""
-    if original is None and spec.kind != "retrain":
+                 original: ModelParams | None = None) -> UnlearnReport:
+    """Run one baseline and wrap the outcome in the uniform report shape.
+    Every baseline needs the original model; Retrain takes its layout."""
+    if original is None:
         raise UsageError(f"the {spec.kind} baseline needs the original model")
     flags = {}
     t0 = time.perf_counter()
     if spec.kind == "retrain":
-        if layout is None:
-            if original is None:
-                raise UsageError("retrain needs a layout or an original model")
-            layout = original.layout
-        params = retrain(data, split, spec.train, layout)
+        params = retrain(data, split, spec.train, original.layout)
     elif spec.kind == "original":
         params = original.copy()
     elif spec.kind == "finetune":

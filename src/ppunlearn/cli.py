@@ -6,7 +6,7 @@ Subcommands: generate-data, train, unlearn, eval, mia, bench, sweep, report.
 loads).
 
 Exit codes: 0 success, 2 validation error, 3 runtime error,
-4 refinement did not converge.
+4 refinement used up its iteration budget.
 """
 
 from __future__ import annotations
@@ -226,10 +226,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except UnlearnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (UnlearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -32,17 +32,17 @@ class EvalReport:
     counts: dict = field(default_factory=dict)
 
 
+MIA_TRAIN_FRAC = 0.8  # share of each attack side that fits the attacker
+
+
 @dataclass
 class MiaConfig:
     repetitions: int = 5
     seed: int = 0
-    train_frac: float = 0.8
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise UsageError("need at least one repetition")
-        if not 0.0 < self.train_frac < 1.0:
-            raise UsageError("train_frac must be in (0, 1)")
 
 
 @dataclass
@@ -117,12 +117,12 @@ def _fit_logistic_1d(z: np.ndarray, y: np.ndarray, lr: float = 1.0,
     return w, b
 
 
-def _stratified_split(n_per_side: int, train_frac: float, seed: int):
+def _stratified_split(n_per_side: int, seed: int):
     """One permutation reused for both sides, so equal-size classes stay
     paired position-for-position (this makes the identical-distribution case
     come out at exactly 50%)."""
     perm = np.random.default_rng(seed).permutation(n_per_side)
-    n_train = int(train_frac * n_per_side)
+    n_train = int(MIA_TRAIN_FRAC * n_per_side)
     return perm[:n_train], perm[n_train:]
 
 
@@ -159,7 +159,7 @@ def mia_attack(params: ModelParams, forget_set, test_set,
 
     accuracies = []
     for rep in range(cfg.repetitions):
-        tr, ho = _stratified_split(n, cfg.train_frac, cfg.seed + rep)
+        tr, ho = _stratified_split(n, cfg.seed + rep)
         z_tr = np.concatenate([losses_in[tr], losses_out[tr]])
         y_tr = np.concatenate([np.ones(len(tr)), np.zeros(len(tr))])
         mu, sd = z_tr.mean(), z_tr.std()

@@ -68,7 +68,12 @@ class ExperimentConfig:
 
     def validate(self) -> list:
         """All offending fields, not just the first."""
-        problems = []
+        # the checks below read inside these sections, so report them alone
+        problems = [f"{f.name}: must be a JSON object" for f in fields(self)
+                    if f.type == "dict"
+                    and not isinstance(getattr(self, f.name), dict)]
+        if problems:
+            return problems
         if self.schema_version != SCHEMA_VERSION:
             problems.append(f"schema_version: expected {SCHEMA_VERSION}")
         if self.method not in METHODS:
@@ -81,16 +86,17 @@ class ExperimentConfig:
             problems.append(f"forget.mode: must be {_one_of(ForgetSpec.MODES)}")
         if self.scheme.get("kind") not in PseudoScheme.KINDS:
             problems.append(f"scheme.kind: must be {_one_of(PseudoScheme.KINDS)}")
-        if self.lam <= 0:
-            problems.append("lam: must be positive")
+        if not (isinstance(self.lam, (int, float)) and self.lam > 0):
+            problems.append("lam: must be a positive number")
         if self.selection not in CRITERIA:
             problems.append(f"selection: unknown criterion {self.selection!r}")
+        try:
+            _refine_config(self, 1)
+        except UsageError as exc:
+            problems.append(str(exc))
         if self.sweep is not None:
-            if set(self.sweep) - set(SWEEP_AXES):
-                problems.append(f"sweep: axis must be {_one_of(SWEEP_AXES)}")
-            for axis, values in self.sweep.items():
-                if not values:
-                    problems.append(f"sweep.{axis}: list must be non-empty")
+            problems.append("sweep: a run does not read it; run the sweep "
+                            "with `ppunlearn sweep --lam` or `--seeds`")
         for name in ("data", "model", "protocol"):
             if name not in self.seeds:
                 problems.append(f"seeds.{name}: required")
@@ -256,10 +262,18 @@ def _scheme(cfg: ExperimentConfig) -> PseudoScheme:
 
 
 def _refine_config(cfg: ExperimentConfig, n_train: int) -> RefineConfig:
+    """``cfg.refine`` as a RefineConfig.  ``eta`` is a positive number, or
+    "<positive number>/n" for that number over the train-row count."""
     r = cfg.refine
     eta = r.get("eta")
     if isinstance(eta, str) and eta.endswith("/n"):
-        eta = float(eta[:-2]) / n_train
+        try:
+            eta = float(eta[:-2]) / n_train
+        except ValueError:
+            pass
+    if eta is not None and not (isinstance(eta, (int, float)) and eta > 0):
+        raise UsageError("refine.eta: must be a positive number or "
+                         f"'<positive number>/n', not {r['eta']!r}")
     return RefineConfig(
         tol=r.get("tol", 1e-6),
         max_iters=r.get("max_iters", 10_000),

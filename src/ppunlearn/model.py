@@ -53,12 +53,6 @@ class ModelParams:
     def tensors(self):
         return (self.w1, self.b1, self.w2, self.b2)
 
-    def allclose(self, other: "ModelParams", tol: float = 0.0) -> bool:
-        return all(
-            np.allclose(a, b, rtol=0.0, atol=tol)
-            for a, b in zip(self.tensors(), other.tensors())
-        )
-
 
 @dataclass
 class TrainConfig:
@@ -109,9 +103,6 @@ class CheckpointSet:
 
     def __len__(self):
         return len(self.entries)
-
-    def losses(self) -> list:
-        return [e.metrics.get("kl_loss") for e in self.entries]
 
 
 def init_model(layout: ModelLayout, seed: int) -> ModelParams:

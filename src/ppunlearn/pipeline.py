@@ -160,12 +160,12 @@ def _run_ppu(source: ModelParams, task: UnlearnTask) -> UnlearnReport:
             "converged": refine_result.converged,
             "iterations": refine_result.iterations,
             "objective": refine_result.objective,
-            "final_residual": refine_result.dual.residuals[-1]
-            if refine_result.dual.residuals else 0.0,
+            # the returned matrix is the lowest-residual iterate
+            "final_residual": min(refine_result.dual.residuals),
         }
         if not refine_result.converged:
-            # the problem is convex, so this signals a step-size/budget
-            # issue; flag for auditing and continue with the best iterate
+            # the problem is convex, so the iteration budget ran out; flag
+            # for auditing and continue with the best iterate
             flags["refine_not_converged"] = True
 
     if task.finetune.epochs == 0:

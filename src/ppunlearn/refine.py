@@ -5,17 +5,17 @@ model outputs), the solver minimizes
 
     sum_{forget i} KL(Q_i || target_i) + lambda * sum_{retain i} KL(Q_i || target_i)
 
-over row-stochastic Q subject to fixed per-class column masses M_k.  The
-column constraints are handled by dual coordinate ascent: for fixed dual
-vector alpha the Lagrangian minimizer over each row simplex is closed form,
+over row-stochastic Q subject to fixed per-class column masses M_k.  For
+fixed dual vector alpha the Lagrangian minimizer over each row simplex is
+closed form,
 
     Q_ik  proportional to  target_ik * exp(-alpha_k / c_i),
 
-with c_i = 1 on forget rows and lambda on retain rows, and alpha moves along
-the constraint residual with step eta.  The objective is strictly convex
-with linear constraints, so the iteration converges to the unique optimum
-from any feasible start; starting at alpha = 0 makes the first iterate equal
-the targets themselves (the warm start near the pseudo-probabilities).
+with c_i = 1 on forget rows and lambda on retain rows, and damped Newton
+steps solve the K mass equations sum_i Q_ik = M_k for alpha.  The objective
+is strictly convex with linear constraints, so the optimum is unique;
+starting at alpha = 0 makes the first iterate equal the targets themselves
+(the warm start near the pseudo-probabilities).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class DualState:
 class RefineConfig:
     tol: float = 1e-6
     max_iters: int = 10_000
-    eta: float | None = None            # default 0.1 / N
+    eta: float | None = None    # only sets result.dual.eta; default 0.1 / N
     warm_start: ProbMatrix | None = None
 
     def __post_init__(self):
@@ -143,7 +143,7 @@ class _Primal:
         self.targets = problem.targets.values
         weights, groups = np.unique(problem.row_weights(), return_inverse=True)
         self.weights = weights[:, None]
-        self.groups = groups if len(weights) > 1 else None
+        self.groups = groups
         self.table = np.empty((len(weights), problem.targets.n_classes))
         self.q = np.empty(self.targets.shape)
         self.row_sums = np.empty((self.targets.shape[0], 1))
@@ -162,11 +162,8 @@ class _Primal:
         if top == 0.0:
             return None
         np.exp(table, out=table)
-        if self.groups is None:
-            np.multiply(self.targets, table, out=q)
-        else:
-            np.take(table, self.groups, axis=0, out=q)
-            np.multiply(self.targets, q, out=q)
+        np.take(table, self.groups, axis=0, out=q)
+        np.multiply(self.targets, q, out=q)
         np.add.reduce(q, axis=1, keepdims=True, out=self.row_sums)
         np.divide(q, self.row_sums, out=q)
         np.maximum(q, FLOOR, out=q)
@@ -224,14 +221,15 @@ def dual_step(dual: DualState, Q: ProbMatrix, mass: np.ndarray) -> DualState:
 
 
 def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineResult:
-    """Alternate primal/dual updates until the column masses match.
+    """Damped Newton steps on alpha until the column masses match.
 
     Stops when the sup-norm residual drops below ``cfg.tol`` or after
-    ``cfg.max_iters`` primal updates; a residual increase halves eta.  The
-    result carries the best (lowest-residual) iterate when not converged.
-    Each iteration is one pass of ``_Primal`` plus one class-mass sum, which
-    feeds the residual trace, the step-size rule and the dual ascent; the
-    best iterate is kept as its alpha and rebuilt once at the end.
+    ``cfg.max_iters`` primal updates; a step that does not lower the
+    residual is halved from the same base point (``eta_schedule`` records
+    each halving).  The result carries the best (lowest-residual) iterate
+    when not converged, kept as its alpha and rebuilt once at the end.
+    ``cfg.eta`` does not affect the solve; it is the step stored in
+    ``result.dual`` for callers of ``dual_step``.
     """
     cfg = cfg or RefineConfig()
     n = problem.n_rows
@@ -241,16 +239,20 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
             f"class masses sum to {problem.mass.sum():.9g} for {n} rows "
             f"(gap {mass_gap:.3g})"
         )
-    eta = cfg.eta if cfg.eta is not None else 0.1 / n
-    dual = DualState(alpha=np.zeros(problem.targets.n_classes), eta=eta)
-    eta_schedule = [(0, eta)]
     warm = cfg.warm_start
     if warm is not None and warm.values.shape != problem.targets.values.shape:
         raise ShapeError("warm start shape does not match targets")
 
     primal = _Primal(problem)
-    residuals = dual.residuals
-    alpha = dual.alpha
+    k = problem.targets.n_classes
+    c = problem.row_weights()[:, None]
+    dual = DualState(alpha=np.zeros(k),
+                     eta=cfg.eta if cfg.eta is not None else 0.1 / n)
+    residuals, eta_schedule = dual.residuals, [(0, 1.0)]
+    # where some exponent -alpha_k / c_i is clamped the minimizer stops
+    # moving with alpha, so each Newton step is clipped to stay out of there
+    bound = EXP_CLAMP * c.min()
+    alpha, base_resid = np.zeros(k), np.inf
     # alpha of the current and of the best iterate; None is the warm start
     q_alpha, best_alpha, best_resid = None, None, np.inf
     converged = False
@@ -270,14 +272,31 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
         if resid <= cfg.tol:
             converged = True
             break
-        if it > 1 and resid > residuals[-2]:
-            eta /= 2.0
-            eta_schedule.append((it, eta))
-        alpha = alpha + eta * grad
+        if k == 1:
+            break  # the row sums fix the one class mass; no step moves it
+        if resid < base_resid:
+            # alpha_K stays 0: the minimizer ignores a common shift of alpha
+            # and the masses sum to N.  The Jacobian of the masses in alpha
+            # is (Q/c)^T Q - diag(sum_i Q_i / c_i).
+            scaled = q / c
+            jac = scaled.T @ q
+            jac[np.diag_indices(k)] -= scaled.sum(axis=0)
+            newton = alpha.copy()
+            newton[:-1] -= np.linalg.solve(jac[:-1, :-1], grad[:-1])
+            direction = np.clip(newton, -bound, bound) - alpha
+            base_alpha, step = alpha, 1.0
+            # the warm start is the minimizer for no alpha, so the first
+            # step from it is kept whatever its residual
+            base_resid = np.inf if q_alpha is None else resid
+        else:
+            step /= 2.0
+            eta_schedule.append((it, step))
+        alpha = base_alpha + step * direction
 
     final_alpha = q_alpha if converged else best_alpha
     final_q = warm if final_alpha is None else primal.matrix(final_alpha)
-    dual.alpha, dual.eta = alpha, eta
+    if final_alpha is not None:
+        dual.alpha = final_alpha
     dual.iterations = iterations - int(converged)
     return RefineResult(
         matrix=final_q,

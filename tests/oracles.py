@@ -1,12 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the algorithms used by the package: the refinement
-oracle is a Euclidean projected-gradient method (exact active-set polytope
-projections), classification oracles are nearest-centroid and a hand-rolled
-logistic regression, and gradients are checked by central finite differences.
-The frozen copies of the original dual-ascent refinement loop, 1-D
-logistic fit and NegGrad+ loop are the exception: they pin the package's
-rewrites to the original arithmetic bit for bit.
+oracles are a Euclidean projected-gradient method (exact active-set polytope
+projections), the package's original dual ascent and, at lambda = 1,
+Sinkhorn matrix scaling; classification oracles are nearest-centroid and a
+hand-rolled logistic regression, and gradients are checked by central finite
+differences.  The frozen copies of the original 1-D logistic fit and NegGrad+
+loop pin the package's rewrites to the original arithmetic bit for bit.
 """
 
 import numpy as np
@@ -162,12 +162,13 @@ def pgd_refine(targets, weights, col_sums, tol=1e-10, max_iters=100_000):
 def dual_ascent_reference(targets, forget_rows, retain_rows, lam, mass,
                           tol=1e-6, max_iters=10_000, eta=None,
                           warm_start=None):
-    """A frozen copy of the package's original refinement loop.
+    """A frozen copy of the package's original refinement loop, dual ascent
+    with a step that halves whenever the residual rises.
 
     Each iteration builds the N x K exponent matrix, clamps it, forms
     Q_ik ~ target_ik * exp(-alpha_k / c_i), sums the class masses, and then
     sums them again for the dual ascent, exactly as the solver first did.
-    The package's solver must reproduce every output bit for bit.  Returns
+    Run to convergence, it must reach the Newton solver's optimum.  Returns
     a dict: ``matrix`` (values; ``targets`` itself when alpha was zero),
     ``residuals``, ``alpha``, ``eta``, ``eta_schedule``, ``objective``,
     ``iterations``, ``dual_iterations`` and ``converged``.
@@ -227,6 +228,27 @@ def dual_ascent_reference(targets, forget_rows, retain_rows, lam, mass,
             "eta": eta, "eta_schedule": eta_schedule, "objective": objective,
             "iterations": iterations, "dual_iterations": dual_iterations,
             "converged": converged}
+
+
+# ---------------------------------------------------------------------------
+# matrix scaling at lambda = 1
+
+def sinkhorn_reference(targets, mass, tol=1e-13, max_iters=1_000_000):
+    """At lambda = 1 the refined matrix is a diagonal scaling of the targets,
+    Q = diag(u) T diag(v), with unit row sums and column sums ``mass``.
+    Sinkhorn scaling (iterative proportional fitting; Cuturi 2013) finds u
+    and v by alternately fixing the rows and the columns, until the row sums
+    are within ``tol`` of 1 after a column update."""
+    targets = np.asarray(targets, dtype=np.float64)
+    mass = np.asarray(mass, dtype=np.float64)
+    v = np.ones(targets.shape[1])
+    for _ in range(max_iters):
+        u = 1.0 / (targets @ v)
+        v = mass / (targets.T @ u)
+        q = u[:, None] * targets * v[None, :]
+        if np.abs(q.sum(axis=1) - 1.0).max() <= tol:
+            return q
+    raise RuntimeError("Sinkhorn scaling did not converge")
 
 
 # ---------------------------------------------------------------------------

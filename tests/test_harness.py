@@ -305,6 +305,45 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["unlearn", "--config", str(cfg_path)]) == 4
 
+    def test_privacy_refine_converges_by_default(self, tmp_path):
+        from ppunlearn.cli import main
+        d = blob_config(tmp_path / "run", method="ppu-privacy").to_dict()
+        del d["refine"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["refine_diagnostics"]["converged"]
+        assert "refine_not_converged" not in summary["flags"]
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("dataset", 5, "dataset"),
+        ("evals", True, "evals"),
+        ("lam", "1", "lam"),
+        ("refine", {"eta": "abc"}, "refine.eta"),
+        ("refine", {"eta": "x/n"}, "refine.eta"),
+    ])
+    def test_wrong_type_config_exit_code(self, tmp_path, capsys, field,
+                                         value, name):
+        from ppunlearn.cli import main
+        d = blob_config(tmp_path / "run", method="ppu-privacy").to_dict()
+        d[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 2
+        assert f"{name}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_sweep_field_rejected(self, tmp_path, capsys):
+        # no run reads the field, so a sweep in it would be ignored silently
+        from ppunlearn.cli import main
+        cfg = blob_config(tmp_path / "run", sweep={"lam": [1, 2]})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 2
+        assert "ppunlearn sweep" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_runtime_exit_code(self, tmp_path):
         from ppunlearn.cli import main
         assert main(["eval", "--run-dir", str(tmp_path / "missing")]) != 0

@@ -149,6 +149,28 @@ class TestPrivacyMode:
         assert rep.selected_epoch in [e["epoch"] for e in rep.trajectory]
         assert "selection_reference" in rep.flags
 
+    def test_cut_off_reports_residual_of_returned_matrix(
+            self, small_blobs, small_split, small_model):
+        # a warm start close to the class masses, cut off after one step
+        # that lands farther away: the warm start is returned, and the
+        # summary reports its residual, not the last iterate's
+        from ppunlearn.pipeline import _train_positions
+        from ppunlearn.probmatrix import ProbMatrix, class_mass
+        train_idx, _, _ = _train_positions(small_blobs, small_split)
+        outputs = forward_probs(small_model, small_blobs.inputs[train_idx])
+        warm = ProbMatrix(0.999 * outputs.values + 0.001 / outputs.n_classes)
+        task = UnlearnTask(small_blobs, small_split, "privacy",
+                           PseudoScheme("uniform"), kl_cfg(0),
+                           refine_cfg=RefineConfig(max_iters=2,
+                                                   warm_start=warm))
+        rep = ppu_privacy(small_model, task)
+        residuals = rep.refine_result.dual.residuals
+        assert not rep.refine_summary["converged"]
+        assert len(residuals) == 2 and residuals[1] > residuals[0]
+        assert rep.refine_result.matrix is warm
+        recomputed = np.abs(class_mass(warm) - class_mass(outputs)).max()
+        assert rep.refine_summary["final_residual"] == recomputed
+
     def test_mass_always_feasible(self, small_blobs, small_split, small_model):
         from ppunlearn.pipeline import _train_positions
         from ppunlearn.probmatrix import class_mass
