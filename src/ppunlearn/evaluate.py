@@ -94,27 +94,46 @@ def example_losses(params: ModelParams, inputs, labels) -> np.ndarray:
     return -np.log(p_true)
 
 
-def _fit_logistic_1d(z: np.ndarray, y: np.ndarray, lr: float = 1.0,
-                     max_iters: int = 5000, tol: float = 1e-12):
-    """Full-batch GD on standardized scalar features; fully deterministic.
+def _fit_logistic_1d(z: np.ndarray, y: np.ndarray, max_iters: int = 5000,
+                     tol: float = 1e-12):
+    """Full-batch GD with step 1 on standardized scalar features, one fit
+    per row of ``z`` (shape (fits, m)) against the shared labels ``y``;
+    returns the arrays ``(w, b)``.  Fully deterministic.
 
-    The gradients are means taken as ``np.add.reduce(x) / n``, which is how
-    ``np.mean`` computes them, without its per-call overhead.
+    The rows advance together through the whole budget, so the cost depends
+    on the shapes only, not on how soon a fit converges.  Each row's result
+    is its parameters after the first step whose gradient is below ``tol``
+    in both coordinates, where a loop over that row alone would stop.  The
+    parameters are held negated, so that the exponent -(w z + b) is one
+    product and one sum; negation is exact, so each row equals that loop bit
+    for bit.  The gradients are means taken as ``np.add.reduce(x) / m``,
+    which is how ``np.mean`` computes them.
     """
-    n = len(z)
-    w = 0.0
-    b = 0.0
-    for _ in range(max_iters):
-        u = w * z + b
-        p = 1.0 / (1.0 + np.exp(-u))
-        r = p - y
-        gw = float(np.add.reduce(r * z) / n)
-        gb = float(np.add.reduce(r) / n)
-        w -= lr * gw
-        b -= lr * gb
-        if max(abs(gw), abs(gb)) < tol:
-            break
-    return w, b
+    fits, m = z.shape
+    # grads[t] holds every row's gradient at step t; grads[0] is the start
+    grads = np.zeros((max_iters + 1, fits, 2))
+    neg = np.zeros((fits, 2))                  # (-w, -b) of every row
+    neg_w, neg_b = neg[:, :1], neg[:, 1:]
+    terms = np.empty((fits, 2, m))
+    weighted, residual = terms[:, 0], terms[:, 1]
+    u = np.empty((fits, m))
+    for grad in grads[1:]:
+        np.multiply(neg_w, z, out=u)
+        u += neg_b
+        np.exp(u, out=u)
+        u += 1.0
+        np.divide(1.0, u, out=u)               # sigmoid(w z + b)
+        np.subtract(u, y, out=residual)
+        np.multiply(residual, z, out=weighted)
+        np.add.reduce(terms, axis=2, out=grad)
+        grad /= m
+        neg += grad
+    below = np.abs(grads[1:]).max(axis=2) < tol
+    stop = np.where(below.any(axis=0), below.argmax(axis=0) + 1, max_iters)
+    # the running sums add the gradients in the loop's order, so they
+    # repeat its parameters after every step
+    final = -np.add.accumulate(grads)[stop, np.arange(fits)]
+    return final[:, 0], final[:, 1]
 
 
 def _stratified_split(n_per_side: int, seed: int):
@@ -157,19 +176,21 @@ def mia_attack(params: ModelParams, forget_set, test_set,
     if len(losses_out) > n:
         losses_out = losses_out[rng.permutation(len(losses_out))[:n]]
 
-    accuracies = []
+    z_train, z_hold = [], []
     for rep in range(cfg.repetitions):
         tr, ho = _stratified_split(n, cfg.seed + rep)
         z_tr = np.concatenate([losses_in[tr], losses_out[tr]])
-        y_tr = np.concatenate([np.ones(len(tr)), np.zeros(len(tr))])
         mu, sd = z_tr.mean(), z_tr.std()
         if sd == 0.0:
             sd = 1.0
-        w, b = _fit_logistic_1d((z_tr - mu) / sd, y_tr)
-        z_ho = (np.concatenate([losses_in[ho], losses_out[ho]]) - mu) / sd
-        y_ho = np.concatenate([np.ones(len(ho)), np.zeros(len(ho))])
-        pred = (w * z_ho + b >= 0.0)
-        accuracies.append(100.0 * float(np.mean(pred == (y_ho == 1.0))))
+        z_train.append((z_tr - mu) / sd)
+        z_hold.append((np.concatenate([losses_in[ho], losses_out[ho]]) - mu)
+                      / sd)
+    y_tr = np.concatenate([np.ones(len(tr)), np.zeros(len(tr))])
+    w, b = _fit_logistic_1d(np.array(z_train), y_tr)
+    y_ho = np.concatenate([np.ones(len(ho)), np.zeros(len(ho))])
+    pred = (w[:, None] * np.array(z_hold) + b[:, None] >= 0.0)
+    accuracies = [100.0 * float(np.mean(row == (y_ho == 1.0))) for row in pred]
 
     acc = np.asarray(accuracies)
     std = float(acc.std(ddof=1)) if len(acc) > 1 else 0.0

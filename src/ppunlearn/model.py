@@ -126,9 +126,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(params: ModelParams, X: np.ndarray):
-    a1 = np.tanh(X @ params.w1 + params.b1)
-    logits = a1 @ params.w2 + params.b2
+def _forward(params: ModelParams, X: np.ndarray, out=None):
+    """Hidden activations and logits.  ``out`` is an optional pair of
+    (n, hidden) and (n, K) arrays that receive them with the same arithmetic,
+    so that repeated passes over the same rows allocate nothing."""
+    if out is None:
+        a1 = np.tanh(X @ params.w1 + params.b1)
+        logits = a1 @ params.w2 + params.b2
+        return a1, logits
+    a1, logits = out
+    np.matmul(X, params.w1, out=a1)
+    a1 += params.b1
+    np.tanh(a1, out=a1)
+    np.matmul(a1, params.w2, out=logits)
+    logits += params.b2
     return a1, logits
 
 
@@ -310,15 +321,27 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     T = targets.values
     w = _normalized_weights(X.shape[0], row_weights)
 
-    def subset_logits(p, logits, rows):
-        return logits[rows] if rows.ndim == 1 else _forward(p, rows)[1]
+    # every snapshot's passes write into the same buffers: fresh arrays of
+    # this size would each be mapped from the OS and fault their pages in
+    def buffers(rows):
+        return (np.empty((rows.shape[0], params.layout.hidden)),
+                np.empty((rows.shape[0], params.layout.n_classes)))
+    x_pass = buffers(X)
+    passes = {name: buffers(rows) for name, (rows, _) in sets.items()
+              if rows.ndim != 1}
+
+    def subset_logits(p, logits, name):
+        rows = sets[name][0]
+        if rows.ndim == 1:
+            return logits[rows]
+        return _forward(p, rows, passes[name])[1]
 
     def measure(p, names):
-        """Loss plus the logits of the named eval subsets, from one pass."""
-        _, logits = _forward(p, X)
+        """Loss plus the logits of the named eval subsets, from one pass;
+        logits of an input-matrix subset stay valid until the next call."""
+        _, logits = _forward(p, X, x_pass)
         return (_mean_loss(_softmax(logits), T, w, "kl"),
-                {name: subset_logits(p, logits, sets[name][0])
-                 for name in names})
+                {name: subset_logits(p, logits, name) for name in names})
 
     drift = [name for name, (_, y) in sets.items() if y is None]
     initial_loss, start = measure(params, drift)

@@ -112,19 +112,21 @@ class TestMiaAttack:
 
 class TestFitLogistic1d:
     def test_matches_frozen_loop_bitwise(self, rng):
-        # separable sides run the whole iteration budget; overlapping ones
-        # stop at the gradient tolerance
-        cases = []
+        # separable rows run the whole iteration budget; overlapping ones
+        # stop at the gradient tolerance, at different steps, while the
+        # rows fitted with them go on
         for n in (10, 20, 40):
-            z = np.concatenate([rng.normal(2.0, 0.5, n), rng.normal(-2.0, 0.5, n)])
-            cases.append((z, np.concatenate([np.ones(n), np.zeros(n)])))
-            z = rng.normal(size=2 * n)
-            cases.append((z, (rng.random(2 * n) < 0.5).astype(float)))
-        for z, y in cases:
-            z = (z - z.mean()) / z.std()
+            y = np.concatenate([np.ones(n), np.zeros(n)])
+            rows = [np.concatenate([rng.normal(2.0, 0.5, n),
+                                    rng.normal(-2.0, 0.5, n)])]
+            rows += [rng.normal(size=2 * n) for _ in range(2)]
+            z = np.array([(r - r.mean()) / r.std() for r in rows])
             for max_iters in (1, 37, 5000):
-                assert (_fit_logistic_1d(z, y, max_iters=max_iters)
-                        == logistic_1d_reference(z, y, max_iters=max_iters))
+                w, b = _fit_logistic_1d(z, y, max_iters=max_iters)
+                for i, row in enumerate(z):
+                    assert ((w[i], b[i])
+                            == logistic_1d_reference(row, y,
+                                                     max_iters=max_iters))
 
 
 class TestTimeStage:

@@ -69,6 +69,18 @@ class TestForwardProbs:
         with pytest.raises(ShapeError):
             forward_probs(p, np.zeros((5, 3)))
 
+    def test_buffered_pass_matches_bitwise(self, rng):
+        p = init_model(ModelLayout(48, 512, 5), seed=3)
+        X = rng.normal(size=(437, 48))
+        out = (np.full((437, 512), np.nan), np.full((437, 5), np.nan))
+        for _ in range(2):     # the second pass overwrites the first
+            a1, logits = model_module._forward(p, X, out)
+            assert a1 is out[0] and logits is out[1]
+            ref_a1 = np.tanh(X @ p.w1 + p.b1)
+            assert np.array_equal(a1, ref_a1)
+            assert np.array_equal(logits, ref_a1 @ p.w2 + p.b2)
+            p.w1 *= 0.5
+
 
 class TestTrainCe:
     def test_separable_blobs_reach_low_error(self):
