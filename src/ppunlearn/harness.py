@@ -90,6 +90,9 @@ class ExperimentConfig:
             problems.append("lam: must be a positive number")
         if self.selection not in CRITERIA:
             problems.append(f"selection: unknown criterion {self.selection!r}")
+        if self.adaptive_style not in UnlearnTask.ADAPTIVE_STYLES:
+            problems.append("adaptive_style: must be "
+                            f"{_one_of(UnlearnTask.ADAPTIVE_STYLES)}")
         try:
             _refine_config(self, 1)
         except UsageError as exc:
@@ -274,11 +277,15 @@ def _refine_config(cfg: ExperimentConfig, n_train: int) -> RefineConfig:
     if eta is not None and not (isinstance(eta, (int, float)) and eta > 0):
         raise UsageError("refine.eta: must be a positive number or "
                          f"'<positive number>/n', not {r['eta']!r}")
-    return RefineConfig(
-        tol=r.get("tol", 1e-6),
-        max_iters=r.get("max_iters", 10_000),
-        eta=eta,
-    )
+    tol, max_iters = r.get("tol", 1e-6), r.get("max_iters", 10_000)
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float))
+                                     and tol > 0):
+        raise UsageError(f"refine.tol: must be a positive number, not {tol!r}")
+    # RefineConfig rejects an integer below 1
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
+        raise UsageError(
+            f"refine.max_iters: must be an integer, not {max_iters!r}")
+    return RefineConfig(tol=tol, max_iters=max_iters, eta=eta)
 
 
 def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:

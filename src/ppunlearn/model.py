@@ -4,7 +4,10 @@ activation and softmax output, trained by plain SGD with momentum.
 Two losses are supported: cross-entropy against integer labels, and KL
 divergence from caller-supplied target distributions to the model output
 (the target is the left argument).  Everything runs in float64 and is
-bitwise deterministic for a fixed seed in single-threaded mode.
+bitwise deterministic for a fixed seed with single-threaded BLAS.  The SGD
+loop runs on the calling thread; fine-tuning evaluates each epoch's snapshot
+on one helper thread, one epoch behind, on a copy of the weights, so the
+overlap changes no result.
 """
 
 from __future__ import annotations
@@ -278,10 +281,11 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     Args:
         targets: ProbMatrix (or array of stochastic rows) aligned with inputs.
         eval_sets: optional {name: (rows, y)}, where ``rows`` is a 1-D array
-            of positions into ``inputs`` or an input matrix of its own.  Each
-            snapshot records the error percentage on every named subset; with
-            ``y=None`` it records instead the mean KL divergence of the
-            snapshot's outputs on those rows from the outputs of ``params``.
+            of positions into ``inputs`` or an input matrix of its own, and
+            ``y`` holds one label per row.  Each snapshot records the error
+            percentage on every named subset; with ``y=None`` it records
+            instead the mean KL divergence of the snapshot's outputs on those
+            rows from the outputs of ``params``.
         row_weights: optional per-row positive weights for the loss (used to
             weight retain rows by lambda); normalized internally.
 
@@ -289,7 +293,10 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     its ``kl_loss`` and the metrics of every positional subset come from
     those logits, so only a subset given as an input matrix costs a forward
     pass of its own.  The reference outputs for ``y=None`` subsets come from
-    the same kind of pass over ``params``, made once before training.
+    the same kind of pass over ``params``, made once before training.  Each
+    snapshot is evaluated on one helper thread while the calling thread runs
+    the next epoch's SGD; entries are completed on the calling thread, in
+    epoch order.
 
     Returns a CheckpointSet with one entry per epoch; ``initial_loss`` holds
     the full-data loss before any update.
@@ -314,9 +321,15 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
             raise ShapeError("row_weights must have one entry per input row")
         if row_weights.min() <= 0:
             raise UsageError("row_weights must be positive")
-    sets = {name: (_eval_rows(params, rows, X.shape[0]),
-                   None if y is None else np.asarray(y))
-            for name, (rows, y) in (eval_sets or {}).items()}
+    sets = {}
+    for name, (rows, y) in (eval_sets or {}).items():
+        rows = _eval_rows(params, rows, X.shape[0])
+        if y is not None:
+            y = np.asarray(y)
+            if y.shape != rows.shape[:1]:
+                raise ShapeError(f"eval set {name!r}: labels of shape "
+                                 f"{y.shape} for {rows.shape[0]} rows")
+        sets[name] = (rows, y)
 
     T = targets.values
     w = _normalized_weights(X.shape[0], row_weights)
@@ -346,21 +359,47 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     drift = [name for name, (_, y) in sets.items() if y is None]
     initial_loss, start = measure(params, drift)
     refs = {name: ProbMatrix(_softmax(start[name])) for name in drift}
-    entries = []
 
-    def snapshot(epoch, p):
+    def evaluate(p):
+        """A snapshot's metrics, with each drift subset's outputs in place of
+        its divergence; nothing returned refers to the reused pass buffers."""
+        # call nothing perfbench/spans.py wraps; spans from here would misnest
         loss, logits = measure(p, sets)
         metrics = {"kl_loss": loss}
         for name, (_, y) in sets.items():
             if y is None:
-                out = ProbMatrix(_softmax(logits[name]))
-                metrics[name] = float(kl_rows(out, refs[name]).mean())
+                metrics[name] = ProbMatrix(_softmax(logits[name]))
             else:
                 wrong = logits[name].argmax(axis=1) != y
                 metrics[name] = 100.0 * float(np.mean(wrong))
-        entries.append(CheckpointEntry(epoch, p.copy(), metrics))
+        return metrics
 
-    _sgd_epochs(params, X, T, cfg, "kl", row_weights, snapshot)
+    entries = []
+
+    def finish(epoch, p, evaluation):
+        metrics = evaluation.result()
+        for name in drift:
+            metrics[name] = float(kl_rows(metrics[name], refs[name]).mean())
+        entries.append(CheckpointEntry(epoch, p, metrics))
+
+    # imported here, not at the top: it loads logging, which would add to
+    # the import time of every ppunlearn process
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the next epoch's SGD overlaps the evaluation of this one's snapshot;
+    # leaving the block joins the worker, also when either thread raised
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = []
+
+        def snapshot(epoch, p):
+            p = p.copy()
+            pending.append((epoch, p, pool.submit(evaluate, p)))
+            if len(pending) > 1:
+                finish(*pending.pop(0))
+
+        _sgd_epochs(params, X, T, cfg, "kl", row_weights, snapshot)
+        for item in pending:
+            finish(*item)
     return CheckpointSet(entries, initial_loss=initial_loss)
 
 

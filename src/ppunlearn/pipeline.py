@@ -49,12 +49,14 @@ class UnlearnTask:
     selection: str = "forget-error-proxy"
     adaptive_style: str = "bias"   # which variant adaptive mode runs
 
+    ADAPTIVE_STYLES = ("bias", "privacy")
+
     def __post_init__(self):
         if self.mode not in MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.selection not in CRITERIA:
             raise UsageError(f"unknown selection criterion {self.selection!r}")
-        if self.adaptive_style not in ("bias", "privacy"):
+        if self.adaptive_style not in self.ADAPTIVE_STYLES:
             raise UsageError(f"unknown adaptive style {self.adaptive_style!r}")
         if self.lam <= 0:
             raise UsageError(f"lambda must be positive, got {self.lam}")

@@ -322,6 +322,13 @@ class TestCli:
         ("lam", "1", "lam"),
         ("refine", {"eta": "abc"}, "refine.eta"),
         ("refine", {"eta": "x/n"}, "refine.eta"),
+        ("refine", {"tol": "x"}, "refine.tol"),
+        ("refine", {"tol": True}, "refine.tol"),
+        ("refine", {"tol": 0}, "refine.tol"),
+        ("refine", {"max_iters": "5"}, "refine.max_iters"),
+        ("refine", {"max_iters": True}, "refine.max_iters"),
+        ("refine", {"max_iters": 5.0}, "refine.max_iters"),
+        ("adaptive_style", "x", "adaptive_style"),
     ])
     def test_wrong_type_config_exit_code(self, tmp_path, capsys, field,
                                          value, name):

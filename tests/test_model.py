@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,24 @@ class TestFinetuneKl:
                         TrainConfig(lr=0.01, epochs=1, loss="kl"),
                         eval_sets={"bad": (rows, None)})
 
+    @pytest.mark.parametrize("y", [np.array([0]), np.array([0, 1, 2])])
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_eval_label_count_checked_up_front(self, rng, monkeypatch, y,
+                                               matrix):
+        # a single label would broadcast over the subset's rows, and any
+        # other wrong count would first fail at a snapshot
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(model_module, "_sgd_epochs", no_training)
+        X = rng.normal(size=(24, 3))
+        rows = X[:10] if matrix else np.arange(10)
+        params = init_model(ModelLayout(3, 6, 4), seed=4)
+        with pytest.raises(ShapeError, match="'a'"):
+            finetune_kl(params, X, np.full((24, 4), 0.25),
+                        TrainConfig(lr=0.01, epochs=2, loss="kl"),
+                        eval_sets={"a": (rows, y)})
+
     def test_one_backward_pass_per_sgd_step(self, rng, monkeypatch):
         # snapshots and the initial loss are forward-only: every
         # _loss_and_grads call is an SGD step
@@ -219,6 +239,91 @@ class TestFinetuneKl:
                           row_weights=rng.uniform(0.5, 2.0, 30))
         assert len(cps) == 3
         assert len(calls) == 3 * 4  # epochs * ceil(30 / 8)
+
+    def _pipelined_run(self, rng):
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(0, 4, size=40)
+        X_test = rng.normal(size=(15, 3))
+        y_test = rng.integers(0, 4, size=15)
+        rows = np.array([3, 0, 39, 7, 7, 21])
+        params = init_model(ModelLayout(3, 6, 4), seed=4)
+        targets = ProbMatrix(rng.dirichlet(np.ones(4), size=40))
+        weights = rng.uniform(0.5, 2.0, 40)
+        eval_sets = {"forget": (rows, y[rows]), "test": (X_test, y_test),
+                     "drift": (np.arange(20), None),
+                     "test_drift": (X_test, None)}
+        cfg = TrainConfig(lr=0.5, epochs=4, batch_size=8, seed=1, loss="kl")
+        cps = finetune_kl(params, X, targets, cfg, eval_sets=eval_sets,
+                          row_weights=weights)
+        return params, X, targets, weights, eval_sets, cps
+
+    def test_pipelined_snapshots_match_synchronous_recomputation(self, rng):
+        params, X, targets, weights, eval_sets, cps = self._pipelined_run(rng)
+        assert [e.epoch for e in cps.entries] == [1, 2, 3, 4]
+        snaps = [e.params for e in cps.entries]
+        assert all(a is not b and a.w1 is not b.w1
+                   for a, b in zip(snaps, snaps[1:]))
+        for e in cps.entries:
+            p = e.params
+            expected = {"kl_loss": kl_loss(p, X, targets, weights)}
+            for name, (rows, y) in eval_sets.items():
+                inputs = X[rows] if rows.ndim == 1 else rows
+                if y is None:
+                    expected[name] = float(kl_rows(
+                        forward_probs(p, inputs),
+                        forward_probs(params, inputs)).mean())
+                else:
+                    expected[name] = 100.0 * float(
+                        np.mean(predict_labels(p, inputs) != y))
+            assert e.metrics == expected
+            assert list(e.metrics) == ["kl_loss", *eval_sets]
+
+    def test_kl_rows_runs_on_the_calling_thread(self, rng, monkeypatch):
+        threads = []
+        real = model_module.kl_rows
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "kl_rows", recording)
+        self._pipelined_run(rng)
+        assert threads and set(threads) == {threading.get_ident()}
+
+    def test_worker_exception_propagates_and_joins(self, rng, monkeypatch):
+        caller = threading.get_ident()
+        calls = []
+        real = model_module._mean_loss
+
+        def failing(*args, **kwargs):
+            if threading.get_ident() != caller:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise FloatingPointError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_mean_loss", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="injected"):
+            self._pipelined_run(rng)
+        assert len(calls) >= 2
+        assert threading.active_count() == before
+
+    def test_training_exception_joins_worker(self, rng, monkeypatch):
+        steps = []
+        real = model_module._loss_and_grads
+
+        def failing(*args, **kwargs):
+            steps.append(1)
+            if len(steps) == 7:  # inside epoch 2, after epoch 1's snapshot
+                raise FloatingPointError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_loss_and_grads", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="injected"):
+            self._pipelined_run(rng)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_kl_loss_is_the_training_loss(self, rng, weighted):
