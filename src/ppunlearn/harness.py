@@ -86,17 +86,20 @@ class ExperimentConfig:
             problems.append(f"forget.mode: must be {_one_of(ForgetSpec.MODES)}")
         if self.scheme.get("kind") not in PseudoScheme.KINDS:
             problems.append(f"scheme.kind: must be {_one_of(PseudoScheme.KINDS)}")
-        if not (isinstance(self.lam, (int, float)) and self.lam > 0):
+        if not (_is_number(self.lam) and self.lam > 0):
             problems.append("lam: must be a positive number")
         if self.selection not in CRITERIA:
             problems.append(f"selection: unknown criterion {self.selection!r}")
         if self.adaptive_style not in UnlearnTask.ADAPTIVE_STYLES:
             problems.append("adaptive_style: must be "
                             f"{_one_of(UnlearnTask.ADAPTIVE_STYLES)}")
-        try:
-            _refine_config(self, 1)
-        except UsageError as exc:
-            problems.append(str(exc))
+        for check in (lambda: _train_config(self, "model", 0, "kl"),
+                      lambda: _train_config(self, "finetune", 0, "kl"),
+                      lambda: _refine_config(self, 1)):
+            try:
+                check()
+            except UsageError as exc:
+                problems.append(str(exc))
         if self.sweep is not None:
             problems.append("sweep: a run does not read it; run the sweep "
                             "with `ppunlearn sweep --lam` or `--seeds`")
@@ -226,7 +229,29 @@ def _master_seeds(seed: int) -> dict:
     return {"data": seed, "model": seed + 1, "protocol": seed + 2}
 
 
-def _train_config(section: dict, seed: int, loss: str) -> TrainConfig:
+def _is_int(x) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` in Python, but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _train_config(cfg: ExperimentConfig, name: str, seed: int,
+                  loss: str) -> TrainConfig:
+    """``cfg.<name>``, the "model" or "finetune" section, as a TrainConfig.
+    Its counts (and the model's ``hidden`` width) must be integers, and its
+    rates numbers."""
+    section = getattr(cfg, name)
+    wrong = [f"{name}.{key}: must be an integer, not {section[key]!r}"
+             for key in ("hidden", "epochs", "batch_size")
+             if key in section and not _is_int(section[key])]
+    wrong += [f"{name}.{key}: must be a number, not {section[key]!r}"
+              for key in ("lr", "momentum")
+              if key in section and not _is_number(section[key])]
+    if wrong:
+        raise UsageError("; ".join(wrong))
     return TrainConfig(
         lr=section.get("lr", 0.05),
         epochs=section.get("epochs", 20),
@@ -244,16 +269,16 @@ def _train_original(cfg: ExperimentConfig, ds: Dataset) -> ModelParams:
     return train_ce(
         init_model(layout, seed=cfg.seeds["model"]),
         *ds.split_arrays("train"),
-        _train_config(cfg.model, cfg.seeds["model"], "cross-entropy"),
+        _train_config(cfg, "model", cfg.seeds["model"], "cross-entropy"),
     )
 
 
 def _baseline_spec(cfg: ExperimentConfig, kind: str) -> BaselineSpec:
     """Retrain gets the original's training budget (``cfg.model``); the
     other baselines get the fine-tune budget."""
-    section = cfg.model if kind == "retrain" else cfg.finetune
+    section = "model" if kind == "retrain" else "finetune"
     return BaselineSpec(kind=kind, train=_train_config(
-        section, cfg.seeds["model"], "cross-entropy"))
+        cfg, section, cfg.seeds["model"], "cross-entropy"))
 
 
 def _scheme(cfg: ExperimentConfig) -> PseudoScheme:
@@ -274,15 +299,14 @@ def _refine_config(cfg: ExperimentConfig, n_train: int) -> RefineConfig:
             eta = float(eta[:-2]) / n_train
         except ValueError:
             pass
-    if eta is not None and not (isinstance(eta, (int, float)) and eta > 0):
+    if eta is not None and not (_is_number(eta) and eta > 0):
         raise UsageError("refine.eta: must be a positive number or "
                          f"'<positive number>/n', not {r['eta']!r}")
     tol, max_iters = r.get("tol", 1e-6), r.get("max_iters", 10_000)
-    if isinstance(tol, bool) or not (isinstance(tol, (int, float))
-                                     and tol > 0):
+    if not (_is_number(tol) and tol > 0):
         raise UsageError(f"refine.tol: must be a positive number, not {tol!r}")
     # RefineConfig rejects an integer below 1
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
+    if not _is_int(max_iters):
         raise UsageError(
             f"refine.max_iters: must be an integer, not {max_iters!r}")
     return RefineConfig(tol=tol, max_iters=max_iters, eta=eta)
@@ -377,7 +401,8 @@ def _run_method(cfg, ds, split, original):
         split=split,
         mode={name: mode for mode, name in METHOD_NAMES.items()}[cfg.method],
         scheme=_scheme(cfg),
-        finetune=_train_config(cfg.finetune, cfg.seeds["protocol"], "kl"),
+        finetune=_train_config(cfg, "finetune", cfg.seeds["protocol"],
+                               "kl"),
         lam=cfg.lam,
         refine_cfg=_refine_config(cfg, n_train),
         selection=cfg.selection,

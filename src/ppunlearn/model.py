@@ -5,9 +5,11 @@ Two losses are supported: cross-entropy against integer labels, and KL
 divergence from caller-supplied target distributions to the model output
 (the target is the left argument).  Everything runs in float64 and is
 bitwise deterministic for a fixed seed with single-threaded BLAS.  The SGD
-loop runs on the calling thread; fine-tuning evaluates each epoch's snapshot
-on one helper thread, one epoch behind, on a copy of the weights, so the
-overlap changes no result.
+loop runs on the calling thread.  Each training run owns one workspace:
+every step gathers its batch into it and writes its activations, gradients
+and momentum update there, so a step allocates no array and computes no
+loss.  Fine-tuning evaluates each epoch's snapshot on one helper thread, one
+epoch behind, on a copy of the weights, so the overlap changes no result.
 """
 
 from __future__ import annotations
@@ -123,10 +125,15 @@ def init_model(layout: ModelLayout, seed: int) -> ModelParams:
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray, out=None, col=None) -> np.ndarray:
+    """Row-wise softmax.  ``out`` (which may be ``logits`` itself) receives
+    the result, and ``col``, an (n, 1) array, the row maxima and then the row
+    sums, so that a caller passing both allocates nothing."""
+    col = np.max(logits, axis=1, keepdims=True, out=col)
+    e = np.subtract(logits, col, out=out)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=1, keepdims=True, out=col)
+    return e
 
 
 def _forward(params: ModelParams, X: np.ndarray, out=None):
@@ -169,10 +176,11 @@ def predict_labels(params: ModelParams, X) -> np.ndarray:
     return logits.argmax(axis=1)
 
 
-def _normalized_weights(n, row_weights):
+def _normalized_weights(n, row_weights, out=None):
+    """Row weights scaled to sum to one; equal weights are the scalar 1/n."""
     if row_weights is None:
-        return np.full(n, 1.0 / n)
-    return row_weights / row_weights.sum()
+        return 1.0 / n
+    return np.divide(row_weights, row_weights.sum(), out=out)
 
 
 def _mean_loss(probs, T, w, kind):
@@ -186,49 +194,88 @@ def _mean_loss(probs, T, w, kind):
     return float((w * np.sum(T * np.log(T / P), axis=1)).sum())
 
 
-def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None):
-    """Weighted-mean loss plus gradients w.r.t. every parameter tensor.
+class _Workspace:
+    """The buffers one training run's SGD steps write into, for batches of
+    up to ``rows`` rows; a shorter batch uses their leading rows."""
+
+    def __init__(self, params: ModelParams, rows: int):
+        d, h, k = (params.layout.d_in, params.layout.hidden,
+                   params.layout.n_classes)
+        self.x, self.t, self.w = (np.empty((rows, d)), np.empty((rows, k)),
+                                  np.empty(rows))   # the gathered batch
+        self.a1 = np.empty((rows, h))       # activations, then 1 - a1 * a1
+        self.da1 = np.empty((rows, h))      # da1, then dz1
+        self.logits = np.empty((rows, k))   # logits, probs, then dlogits
+        self.col = np.empty((rows, 1))      # row maxima, then row sums
+        self.grads = tuple(np.empty_like(t) for t in params.tensors())
+
+
+def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
+                    ws=None):
+    """Gradients w.r.t. every parameter tensor of the weighted-mean loss.
 
     The loss is the weighted mean over the given rows (weights normalized
     here), so learning-rate semantics match plain mini-batch SGD.  For both
     losses the logit gradient is (probs - target) scaled by the normalized
     weight, because the targets are proper distributions.
+
+    With a workspace ``ws`` (the SGD step), every intermediate and the
+    gradients are written into its buffers, and the loss is not computed:
+    the first item of the result is None.  Without one, the call allocates
+    its own buffers and returns ``(loss, grads)``.
     """
-    a1, logits = _forward(params, X)
-    probs = _softmax(logits)
+    n = X.shape[0]
+    with_loss = ws is None
+    if with_loss:
+        ws = _Workspace(params, n)
+    a1, logits = _forward(params, X, (ws.a1[:n], ws.logits[:n]))
+    probs = _softmax(logits, out=logits, col=ws.col[:n])
     T = y_onehot_or_targets
-    w = _normalized_weights(X.shape[0], row_weights)
-    loss = _mean_loss(probs, T, w, kind)
-    dlogits = w[:, None] * (probs - T)
-    dw2 = a1.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    da1 = dlogits @ params.w2.T
-    dz1 = da1 * (1.0 - a1 * a1)
-    dw1 = X.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return loss, (dw1, db1, dw2, db2)
+    w = _normalized_weights(n, row_weights, out=ws.w[:n])
+    loss = _mean_loss(probs, T, w, kind) if with_loss else None
+    dlogits = np.subtract(probs, T, out=probs)
+    dlogits *= w if row_weights is None else w[:, None]
+    dw1, db1, dw2, db2 = ws.grads
+    np.matmul(a1.T, dlogits, out=dw2)
+    np.sum(dlogits, axis=0, out=db2)
+    dz1 = np.matmul(dlogits, params.w2.T, out=ws.da1[:n])
+    np.multiply(a1, a1, out=a1)
+    dz1 *= np.subtract(1.0, a1, out=a1)
+    np.matmul(X.T, dz1, out=dw1)
+    np.sum(dz1, axis=0, out=db1)
+    return loss, ws.grads
 
 
 def _momentum_step(params, vel, grads, cfg) -> None:
     """One SGD-with-momentum update of ``params`` and the velocities ``vel``,
-    in place: v <- momentum * v - lr * g, then w <- w + v."""
-    for i, (t, g) in enumerate(zip(params.tensors(), grads)):
-        vel[i] = cfg.momentum * vel[i] - cfg.lr * g
-        t += vel[i]
+    in place: v <- momentum * v - lr * g, then w <- w + v.  ``grads`` is
+    overwritten with lr * g."""
+    for t, v, g in zip(params.tensors(), vel, grads):
+        v *= cfg.momentum
+        v -= np.multiply(g, cfg.lr, out=g)
+        t += v
 
 
 def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
-    """Shared mini-batch SGD loop; calls ``after_epoch(epoch, params)``."""
+    """Shared mini-batch SGD loop; calls ``after_epoch(epoch, params)``.
+    Every step writes into one workspace that the run allocates up front."""
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
     vel = [np.zeros_like(t) for t in params.tensors()]
     n = X.shape[0]
+    ws = _Workspace(params, min(cfg.batch_size, n))
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
-            bw = None if row_weights is None else row_weights[rows]
-            _, grads = _loss_and_grads(params, X[rows], T[rows], kind, bw)
+            m = rows.shape[0]
+            # "clip" never applies to a permutation's positions, and unlike
+            # "raise" it gathers straight into ``out``
+            x = np.take(X, rows, axis=0, out=ws.x[:m], mode="clip")
+            t = np.take(T, rows, axis=0, out=ws.t[:m], mode="clip")
+            bw = (None if row_weights is None else
+                  np.take(row_weights, rows, out=ws.w[:m], mode="clip"))
+            _, grads = _loss_and_grads(params, x, t, kind, bw, ws)
             _momentum_step(params, vel, grads, cfg)
         if after_epoch is not None:
             after_epoch(epoch, params)
@@ -392,14 +439,16 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
         pending = []
 
         def snapshot(epoch, p):
+            # the worker runs the previous snapshot first anyway; completing
+            # it before submitting this one raises its error without delay
+            if pending:
+                finish(*pending.pop())
             p = p.copy()
             pending.append((epoch, p, pool.submit(evaluate, p)))
-            if len(pending) > 1:
-                finish(*pending.pop(0))
 
         _sgd_epochs(params, X, T, cfg, "kl", row_weights, snapshot)
-        for item in pending:
-            finish(*item)
+        if pending:
+            finish(*pending.pop())
     return CheckpointSet(entries, initial_loss=initial_loss)
 
 

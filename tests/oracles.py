@@ -5,8 +5,9 @@ oracles are a Euclidean projected-gradient method (exact active-set polytope
 projections), the package's original dual ascent and, at lambda = 1,
 Sinkhorn matrix scaling; classification oracles are nearest-centroid and a
 hand-rolled logistic regression, and gradients are checked by central finite
-differences.  The frozen copies of the original 1-D logistic fit and NegGrad+
-loop pin the package's rewrites to the original arithmetic bit for bit.
+differences.  The frozen copies of the original 1-D logistic fit, NegGrad+
+loop and SGD loop pin the package's rewrites to the original arithmetic bit
+for bit.
 """
 
 import numpy as np
@@ -331,6 +332,71 @@ def neggrad_plus_reference(model, data, split, cfg, iters, ascent_weight):
             vel[i] = cfg.momentum * vel[i] - cfg.lr * (gr - ascent_weight * gf)
             t += vel[i]
     return params, False, iters
+
+
+# ---------------------------------------------------------------------------
+# the SGD loop
+
+def sgd_epochs_reference(params, X, T, cfg, kind, row_weights,
+                         after_epoch=None):
+    """A frozen copy of the package's original mini-batch SGD loop, with the
+    forward pass, softmax, loss, gradients and momentum update it called.
+    Each step allocates its temporaries and computes the loss it discards;
+    the package's loop must return the same weights, and pass the same
+    weights to ``after_epoch(epoch, params)``, bit for bit."""
+    floor = 1e-12
+
+    def softmax(logits):
+        z = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
+
+    def normalized_weights(n, row_weights):
+        if row_weights is None:
+            return np.full(n, 1.0 / n)
+        return row_weights / row_weights.sum()
+
+    def mean_loss(probs, T, w, kind):
+        if kind == "cross-entropy":
+            p_true = np.maximum((probs * T).sum(axis=1), floor)
+            return float(-(w * np.log(p_true)).sum())
+        P = np.maximum(probs, floor)
+        return float((w * np.sum(T * np.log(T / P), axis=1)).sum())
+
+    def loss_and_grads(params, X, T, kind, row_weights=None):
+        a1 = np.tanh(X @ params.w1 + params.b1)
+        logits = a1 @ params.w2 + params.b2
+        probs = softmax(logits)
+        w = normalized_weights(X.shape[0], row_weights)
+        loss = mean_loss(probs, T, w, kind)
+        dlogits = w[:, None] * (probs - T)
+        dw2 = a1.T @ dlogits
+        db2 = dlogits.sum(axis=0)
+        da1 = dlogits @ params.w2.T
+        dz1 = da1 * (1.0 - a1 * a1)
+        dw1 = X.T @ dz1
+        db1 = dz1.sum(axis=0)
+        return loss, (dw1, db1, dw2, db2)
+
+    def momentum_step(params, vel, grads, cfg):
+        for i, (t, g) in enumerate(zip(params.tensors(), grads)):
+            vel[i] = cfg.momentum * vel[i] - cfg.lr * g
+            t += vel[i]
+
+    params = params.copy()
+    rng = np.random.default_rng(cfg.seed)
+    vel = [np.zeros_like(t) for t in params.tensors()]
+    n = X.shape[0]
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start:start + cfg.batch_size]
+            bw = None if row_weights is None else row_weights[rows]
+            _, grads = loss_and_grads(params, X[rows], T[rows], kind, bw)
+            momentum_step(params, vel, grads, cfg)
+        if after_epoch is not None:
+            after_epoch(epoch, params)
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,15 @@ class TestCli:
         ("refine", {"max_iters": True}, "refine.max_iters"),
         ("refine", {"max_iters": 5.0}, "refine.max_iters"),
         ("adaptive_style", "x", "adaptive_style"),
+        ("lam", True, "lam"),
+        ("model", {"hidden": "32"}, "model.hidden"),
+        ("model", {"epochs": 2.0}, "model.epochs"),
+        ("model", {"lr": True}, "model.lr"),
+        ("finetune", {"batch_size": "32"}, "finetune.batch_size"),
+        ("finetune", {"batch_size": 8.5}, "finetune.batch_size"),
+        ("finetune", {"epochs": True}, "finetune.epochs"),
+        ("finetune", {"momentum": "0.9"}, "finetune.momentum"),
+        ("refine", {"eta": True}, "refine.eta"),
     ])
     def test_wrong_type_config_exit_code(self, tmp_path, capsys, field,
                                          value, name):

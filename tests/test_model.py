@@ -12,7 +12,8 @@ from ppunlearn.model import (CheckpointSet, CheckpointEntry, ModelLayout,
                              load_model, predict_labels, save_model, train_ce)
 from ppunlearn.probmatrix import ProbMatrix, kl_rows
 
-from oracles import finite_diff_grads, logistic_regression_error
+from oracles import (finite_diff_grads, logistic_regression_error,
+                     sgd_epochs_reference)
 
 
 def two_blob_data(n=200, seed=0):
@@ -306,7 +307,7 @@ class TestFinetuneKl:
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="injected"):
             self._pipelined_run(rng)
-        assert len(calls) >= 2
+        assert len(calls) == 2   # no snapshot is submitted after the failure
         assert threading.active_count() == before
 
     def test_training_exception_joins_worker(self, rng, monkeypatch):
@@ -372,6 +373,48 @@ class TestFinetuneKl:
         p = init_model(ModelLayout(2, 2, 2), seed=0)
         with pytest.raises(UsageError):
             CheckpointSet([CheckpointEntry(2, p), CheckpointEntry(1, p)])
+
+
+class TestFrozenSgdLoop:
+    @pytest.mark.parametrize("kind", ["cross-entropy", "kl"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n, batch_size, momentum, epochs, hidden", [
+        (50, 8, 0.9, 3, 40),     # a short last batch
+        (48, 16, 0.9, 2, 40),    # full batches only
+        (20, 32, 0.9, 3, 40),    # one batch holds every row
+        (50, 8, 0.0, 3, 40),     # no momentum
+        (50, 8, 0.9, 0, 40),     # no epochs
+        (100, 32, 0.9, 2, 512),  # the acceptance network's widths
+    ])
+    def test_matches_the_frozen_loop_bitwise(self, kind, weighted, n,
+                                             batch_size, momentum, epochs,
+                                             hidden):
+        rng = np.random.default_rng(n + batch_size + hidden)
+        d, k = (48, 5) if hidden == 512 else (6, 4)
+        X = rng.normal(size=(n, d))
+        if kind == "cross-entropy":
+            T = np.zeros((n, k))
+            T[np.arange(n), rng.integers(0, k, size=n)] = 1.0
+        else:
+            T = rng.dirichlet(np.ones(k), size=n)
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        params = init_model(ModelLayout(d, hidden, k), seed=3)
+        cfg = TrainConfig(lr=0.3, epochs=epochs, batch_size=batch_size,
+                          momentum=momentum, seed=7, loss=kind)
+        got, want = [], []
+        out = model_module._sgd_epochs(
+            params, X, T, cfg, kind, w,
+            lambda e, p: got.append((e, p.copy())))
+        ref = sgd_epochs_reference(params, X, T, cfg, kind, w,
+                                   lambda e, p: want.append((e, p.copy())))
+        assert [e for e, _ in got] == [e for e, _ in want] == list(
+            range(1, epochs + 1))
+        for a, b in [(out, ref)] + [(p, q) for (_, p), (_, q)
+                                     in zip(got, want)]:
+            for ta, tb in zip(a.tensors(), b.tensors()):
+                assert ta.tobytes() == tb.tobytes()
+        if epochs:
+            assert not np.array_equal(out.w1, params.w1)
 
 
 class TestGradients:

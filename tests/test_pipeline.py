@@ -300,6 +300,31 @@ pl.save_model(report.params, sys.argv[1] + "/unlearned.ckpt",
 with open(sys.argv[1] + "/trajectory.json", "w") as fh:
     json.dump(report.trajectory, fh, sort_keys=True)
 """
+        outputs = self._run_twice(tmp_path, script,
+                                  ("unlearned.ckpt", "trajectory.json"))
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0]["trajectory.json"])) == 4
+
+    def test_sequential_blas_training_is_byte_identical(self, tmp_path):
+        # the path of the original model and of Retrain, at the acceptance
+        # network's widths and with a short last batch
+        script = """
+import sys
+import ppunlearn as pl
+ds = pl.gen_blobs(n_classes=5, dim=48, n_per_class=30, spread=0.6, seed=3)
+start = pl.init_model(pl.ModelLayout(48, 512, 5), seed=1)
+model = pl.train_ce(start, *ds.split_arrays("train"),
+                    pl.TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=2))
+assert (model.w1 != start.w1).any()
+pl.save_model(model, sys.argv[1] + "/model.ckpt")
+"""
+        outputs = self._run_twice(tmp_path, script, ("model.ckpt",))
+        assert outputs[0] == outputs[1]
+
+    @staticmethod
+    def _run_twice(tmp_path, script, files):
+        """The named output files of two processes that each run ``script``
+        with one BLAS thread and their output directory as argument."""
         src = os.path.dirname(os.path.dirname(ppunlearn.__file__))
         env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                    MKL_NUM_THREADS="1", PYTHONPATH=src)
@@ -309,7 +334,5 @@ with open(sys.argv[1] + "/trajectory.json", "w") as fh:
             out.mkdir()
             subprocess.run([sys.executable, "-c", script, str(out)], env=env,
                            check=True, timeout=60)
-            outputs.append({f: (out / f).read_bytes()
-                            for f in ("unlearned.ckpt", "trajectory.json")})
-        assert outputs[0] == outputs[1]
-        assert len(json.loads(outputs[0]["trajectory.json"])) == 4
+            outputs.append({f: (out / f).read_bytes() for f in files})
+        return outputs
