@@ -241,8 +241,9 @@ def _is_number(x) -> bool:
 def _train_config(cfg: ExperimentConfig, name: str, seed: int,
                   loss: str) -> TrainConfig:
     """``cfg.<name>``, the "model" or "finetune" section, as a TrainConfig.
-    Its counts (and the model's ``hidden`` width) must be integers, and its
-    rates numbers."""
+    Its counts (and the model's ``hidden`` width, at least 1) must be
+    integers, and its rates numbers; TrainConfig's range errors are
+    reported under the section name."""
     section = getattr(cfg, name)
     wrong = [f"{name}.{key}: must be an integer, not {section[key]!r}"
              for key in ("hidden", "epochs", "batch_size")
@@ -250,16 +251,22 @@ def _train_config(cfg: ExperimentConfig, name: str, seed: int,
     wrong += [f"{name}.{key}: must be a number, not {section[key]!r}"
               for key in ("lr", "momentum")
               if key in section and not _is_number(section[key])]
+    hidden = section.get("hidden", 1)
+    if _is_int(hidden) and hidden < 1:
+        wrong.append(f"{name}.hidden: must be >= 1, got {hidden}")
     if wrong:
         raise UsageError("; ".join(wrong))
-    return TrainConfig(
-        lr=section.get("lr", 0.05),
-        epochs=section.get("epochs", 20),
-        batch_size=section.get("batch_size", 32),
-        momentum=section.get("momentum", 0.9),
-        seed=seed,
-        loss=loss,
-    )
+    try:
+        return TrainConfig(
+            lr=section.get("lr", 0.05),
+            epochs=section.get("epochs", 20),
+            batch_size=section.get("batch_size", 32),
+            momentum=section.get("momentum", 0.9),
+            seed=seed,
+            loss=loss,
+        )
+    except UsageError as exc:
+        raise UsageError(f"{name}.{exc}") from None
 
 
 def _train_original(cfg: ExperimentConfig, ds: Dataset) -> ModelParams:

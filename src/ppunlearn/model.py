@@ -76,15 +76,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise UsageError(f"learning rate must be > 0, got {self.lr}")
+            raise UsageError(f"lr: must be > 0, got {self.lr}")
         if self.epochs < 0:
-            raise UsageError(f"epoch count must be >= 0, got {self.epochs}")
+            raise UsageError(f"epochs: must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise UsageError(f"batch size must be >= 1, got {self.batch_size}")
+            raise UsageError(f"batch_size: must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
-            raise UsageError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise UsageError(f"momentum: must be in [0, 1), got {self.momentum}")
         if self.loss not in ("cross-entropy", "kl"):
-            raise UsageError(f"unknown loss kind {self.loss!r}")
+            raise UsageError(f"loss: unknown kind {self.loss!r}")
 
 
 @dataclass
@@ -137,14 +137,11 @@ def _softmax(logits: np.ndarray, out=None, col=None) -> np.ndarray:
 
 
 def _forward(params: ModelParams, X: np.ndarray, out=None):
-    """Hidden activations and logits.  ``out`` is an optional pair of
-    (n, hidden) and (n, K) arrays that receive them with the same arithmetic,
-    so that repeated passes over the same rows allocate nothing."""
-    if out is None:
-        a1 = np.tanh(X @ params.w1 + params.b1)
-        logits = a1 @ params.w2 + params.b2
-        return a1, logits
-    a1, logits = out
+    """Hidden activations and logits, written in place into ``out``, a pair
+    of (n, hidden) and (n, K) arrays, or into a fresh pair; passing the same
+    pair to repeated passes over the same rows allocates nothing."""
+    a1, logits = out or (np.empty((X.shape[0], params.layout.hidden)),
+                         np.empty((X.shape[0], params.layout.n_classes)))
     np.matmul(X, params.w1, out=a1)
     a1 += params.b1
     np.tanh(a1, out=a1)

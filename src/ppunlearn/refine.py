@@ -124,59 +124,25 @@ def objective(Q: ProbMatrix, problem: RefineProblem) -> float:
                  + problem.lam * per_row[problem.retain_rows].sum())
 
 
-class _Primal:
+def _primal(targets: ProbMatrix, c: np.ndarray,
+            alpha: np.ndarray) -> ProbMatrix:
     """Row-wise Lagrangian minimizer Q_ik ~ target_ik * exp(-alpha_k / c_i)
-    over buffers allocated once per problem.
+    for row weights ``c``, an (N, 1) column, as a fresh matrix.
 
-    Rows with equal weight c_i (1 on forget rows, lambda on retain rows) share
-    their exponents, so the exponents form a table with one row per weight
-    present (at most two); the clamp, the finiteness check and the zero test
-    run on that table.  Only the product with the targets, the row
-    normalization and the floor touch all N x K entries.  The row sums are a
-    NumPy sum over the row-major (N, K) buffer, so they add in the same order
-    as ``ndarray.sum`` on a fresh array.  Returned values stay valid until
-    the next call.
+    Exponents are clamped to [-EXP_CLAMP, EXP_CLAMP]; anything non-finite
+    after clamping aborts.  When every exponent is zero the minimizer is the
+    targets, returned as they are.  The row sums are a NumPy sum over the
+    row-major (N, K) array, as in ``ndarray.sum(axis=1)``.
     """
-
-    def __init__(self, problem: RefineProblem):
-        self.problem = problem
-        self.targets = problem.targets.values
-        weights, groups = np.unique(problem.row_weights(), return_inverse=True)
-        self.weights = weights[:, None]
-        self.groups = groups
-        self.table = np.empty((len(weights), problem.targets.n_classes))
-        self.q = np.empty(self.targets.shape)
-        self.row_sums = np.empty((self.targets.shape[0], 1))
-
-    def __call__(self, alpha: np.ndarray) -> np.ndarray | None:
-        """The minimizer's values for ``alpha``; None when every exponent is
-        zero, where the minimizer is the targets themselves."""
-        table, q = self.table, self.q
-        np.divide(-alpha, self.weights, out=table)
-        np.clip(table, -EXP_CLAMP, EXP_CLAMP, out=table)
-        # after the clamp an entry is non-finite only when it is NaN, which
-        # the maximum propagates
-        top = np.maximum.reduce(np.abs(table), axis=None, initial=0.0)
-        if not top <= EXP_CLAMP:
-            raise NumericalOverflowError("non-finite exponent in primal update")
-        if top == 0.0:
-            return None
-        np.exp(table, out=table)
-        np.take(table, self.groups, axis=0, out=q)
-        np.multiply(self.targets, q, out=q)
-        np.add.reduce(q, axis=1, keepdims=True, out=self.row_sums)
-        np.divide(q, self.row_sums, out=q)
-        np.maximum(q, FLOOR, out=q)
-        return q
-
-    def matrix(self, alpha: np.ndarray) -> ProbMatrix:
-        """The minimizer for ``alpha`` as a matrix that owns its values."""
-        q = self(alpha)
-        targets = self.problem.targets
-        if q is None:
-            return targets  # scaling by ones is the identity
-        self.q = np.empty_like(q)
-        return ProbMatrix._wrap(q, targets.row_ids.copy())
+    expo = np.clip(-alpha / c, -EXP_CLAMP, EXP_CLAMP)
+    if not np.isfinite(expo).all():
+        raise NumericalOverflowError("non-finite exponent in primal update")
+    if not expo.any():
+        return targets
+    q = targets.values * np.exp(expo)
+    q /= q.sum(axis=1, keepdims=True)
+    np.maximum(q, FLOOR, out=q)
+    return ProbMatrix._wrap(q, targets.row_ids.copy())
 
 
 def _mass_residual(q: np.ndarray, mass: np.ndarray):
@@ -197,7 +163,7 @@ def primal_update(problem: RefineProblem, dual: DualState) -> ProbMatrix:
             f"dual vector of length {dual.alpha.shape} for "
             f"{problem.targets.n_classes} classes"
         )
-    return _Primal(problem).matrix(dual.alpha)
+    return _primal(problem.targets, problem.row_weights()[:, None], dual.alpha)
 
 
 def dual_step(dual: DualState, Q: ProbMatrix, mass: np.ndarray) -> DualState:
@@ -226,10 +192,10 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
     Stops when the sup-norm residual drops below ``cfg.tol`` or after
     ``cfg.max_iters`` primal updates; a step that does not lower the
     residual is halved from the same base point (``eta_schedule`` records
-    each halving).  The result carries the best (lowest-residual) iterate
-    when not converged, kept as its alpha and rebuilt once at the end.
-    ``cfg.eta`` does not affect the solve; it is the step stored in
-    ``result.dual`` for callers of ``dual_step``.
+    each halving).  The result carries the best (lowest-residual) iterate,
+    which is the last one when converged.  ``cfg.eta`` does not affect the
+    solve; it is the step stored in ``result.dual`` for callers of
+    ``dual_step``.
     """
     cfg = cfg or RefineConfig()
     n = problem.n_rows
@@ -243,7 +209,6 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
     if warm is not None and warm.values.shape != problem.targets.values.shape:
         raise ShapeError("warm start shape does not match targets")
 
-    primal = _Primal(problem)
     k = problem.targets.n_classes
     c = problem.row_weights()[:, None]
     dual = DualState(alpha=np.zeros(k),
@@ -253,22 +218,22 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
     # moving with alpha, so each Newton step is clipped to stay out of there
     bound = EXP_CLAMP * c.min()
     alpha, base_resid = np.zeros(k), np.inf
-    # alpha of the current and of the best iterate; None is the warm start
-    q_alpha, best_alpha, best_resid = None, None, np.inf
+    # alpha of the current iterate, and alpha and matrix of the best one;
+    # an alpha of None is the warm start
+    q_alpha, best_alpha, best, best_resid = None, None, None, np.inf
     converged = False
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         if it == 1 and warm is not None:
-            q_alpha, q = None, warm.values
+            q_alpha, Q = None, warm
         else:
-            q_alpha, q = alpha, primal(alpha)
-            if q is None:
-                q = problem.targets.values
+            q_alpha, Q = alpha, _primal(problem.targets, c, alpha)
+        q = Q.values
         grad, resid = _mass_residual(q, problem.mass)
         residuals.append(resid)
         if resid < best_resid:
-            best_alpha, best_resid = q_alpha, resid
+            best_alpha, best, best_resid = q_alpha, Q, resid
         if resid <= cfg.tol:
             converged = True
             break
@@ -293,15 +258,13 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
             eta_schedule.append((it, step))
         alpha = base_alpha + step * direction
 
-    final_alpha = q_alpha if converged else best_alpha
-    final_q = warm if final_alpha is None else primal.matrix(final_alpha)
-    if final_alpha is not None:
-        dual.alpha = final_alpha
+    if best_alpha is not None:
+        dual.alpha = best_alpha
     dual.iterations = iterations - int(converged)
     return RefineResult(
-        matrix=final_q,
+        matrix=best,
         dual=dual,
-        objective=objective(final_q, problem),
+        objective=objective(best, problem),
         converged=converged,
         iterations=iterations,
         eta_schedule=eta_schedule,

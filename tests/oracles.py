@@ -5,9 +5,9 @@ oracles are a Euclidean projected-gradient method (exact active-set polytope
 projections), the package's original dual ascent and, at lambda = 1,
 Sinkhorn matrix scaling; classification oracles are nearest-centroid and a
 hand-rolled logistic regression, and gradients are checked by central finite
-differences.  The frozen copies of the original 1-D logistic fit, NegGrad+
-loop and SGD loop pin the package's rewrites to the original arithmetic bit
-for bit.
+differences.  The frozen copies of the original primal update, 1-D logistic
+fit, NegGrad+ loop and SGD loop pin the package's rewrites to the original
+arithmetic bit for bit.
 """
 
 import numpy as np
@@ -160,6 +160,21 @@ def pgd_refine(targets, weights, col_sums, tol=1e-10, max_iters=100_000):
 # ---------------------------------------------------------------------------
 # frozen dual-ascent refinement loop
 
+def primal_reference(targets, c, alpha):
+    """A frozen copy of the package's original primal update: the row-wise
+    minimizer Q_ik ~ target_ik * exp(-alpha_k / c_i) for row weights ``c``,
+    built from the full N x K exponent matrix; ``targets`` itself when every
+    exponent is zero.  The package's update must match it bit for bit."""
+    expo = np.clip(-alpha[None, :] / c[:, None], -50.0, 50.0)
+    if not np.isfinite(expo).all():
+        raise FloatingPointError("non-finite exponent")
+    if not expo.any():
+        return targets
+    w = targets * np.exp(expo)
+    q = w / w.sum(axis=1, keepdims=True)
+    return np.maximum(q, 1e-12)
+
+
 def dual_ascent_reference(targets, forget_rows, retain_rows, lam, mass,
                           tol=1e-6, max_iters=10_000, eta=None,
                           warm_start=None):
@@ -182,16 +197,6 @@ def dual_ascent_reference(targets, forget_rows, retain_rows, lam, mass,
     c = np.ones(n)
     c[retain_rows] = lam
 
-    def primal(alpha):
-        expo = np.clip(-alpha[None, :] / c[:, None], -50.0, 50.0)
-        if not np.isfinite(expo).all():
-            raise FloatingPointError("non-finite exponent")
-        if not expo.any():
-            return targets
-        w = targets * np.exp(expo)
-        q = w / w.sum(axis=1, keepdims=True)
-        return np.maximum(q, 1e-12)
-
     eta = eta if eta is not None else 0.1 / n
     alpha = np.zeros(targets.shape[1])
     residuals, eta_schedule = [], [(0, eta)]
@@ -205,7 +210,7 @@ def dual_ascent_reference(targets, forget_rows, retain_rows, lam, mass,
         if it == 1 and warm_start is not None:
             q = warm_start
         else:
-            q = primal(alpha)
+            q = primal_reference(targets, c, alpha)
         resid = float(np.abs(q.sum(axis=0) - mass).max())
         if resid < best_resid:
             best_q, best_resid = q, resid

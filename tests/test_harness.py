@@ -338,6 +338,11 @@ class TestCli:
         ("finetune", {"epochs": True}, "finetune.epochs"),
         ("finetune", {"momentum": "0.9"}, "finetune.momentum"),
         ("refine", {"eta": True}, "refine.eta"),
+        ("model", {"hidden": 0}, "model.hidden"),
+        ("finetune", {"lr": 0}, "finetune.lr"),
+        ("model", {"epochs": -1}, "model.epochs"),
+        ("finetune", {"batch_size": 0}, "finetune.batch_size"),
+        ("finetune", {"momentum": 1.0}, "finetune.momentum"),
     ])
     def test_wrong_type_config_exit_code(self, tmp_path, capsys, field,
                                          value, name):

@@ -9,7 +9,8 @@ from ppunlearn.refine import (EXP_CLAMP, DualState, RefineConfig,
                               RefineProblem, dual_step, objective,
                               primal_update, problem_from_outputs, refine)
 
-from oracles import dual_ascent_reference, pgd_refine, sinkhorn_reference
+from oracles import (dual_ascent_reference, pgd_refine, primal_reference,
+                     sinkhorn_reference)
 
 
 def random_instance(rng, n_max=6, k_max=3, lam_choices=(0.5, 1.0, 2.0)):
@@ -334,3 +335,45 @@ def test_confident_targets_converge(lam):
                                  eta=4.0 / p.n_rows))
     assert res.converged
     assert res.iterations <= 20
+
+
+class TestPrimalBitwise:
+    """The primal update is the frozen original one bit for bit."""
+
+    GROUPS = {"forget-only": 1.0, "retain-only": 0.0, "both": 0.4}
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_primal_update_matches_reference(self, k, lam):
+        rng = np.random.default_rng(200 + 10 * k + int(4 * lam))
+        for groups, share in self.GROUPS.items():
+            n = 40
+            targets = ProbMatrix(rng.dirichlet(np.full(k, 0.5), size=n),
+                                 row_ids=rng.permutation(n))
+            perm = rng.permutation(n)
+            n_f = int(share * n)
+            p = RefineProblem(targets, perm[:n_f], perm[n_f:], lam,
+                              class_mass(targets))
+            past_clamp = rng.normal(scale=200.0, size=k)
+            mixed = past_clamp.copy()
+            mixed[0] = 0.3
+            for alpha in (np.zeros(k), rng.normal(size=k), past_clamp, mixed):
+                q = primal_update(p, DualState(alpha=alpha, eta=0.1))
+                ref = primal_reference(targets.values, p.row_weights(), alpha)
+                where = f"groups={groups} alpha={alpha}"
+                assert q.values.tobytes() == ref.tobytes(), where
+                assert np.array_equal(q.row_ids, targets.row_ids), where
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_refined_matrix_is_primal_at_alpha(self, k):
+        rng = np.random.default_rng(300 + k)
+        for lam in (0.5, 1.0, 2.0):
+            for case in ("converged", "no-forget", "clamp"):
+                p, _ = _loop_case(rng, k, lam, case)
+                for max_iters in (1, 2, 3, 10_000):
+                    res = refine(p, RefineConfig(tol=1e-10,
+                                                 max_iters=max_iters))
+                    ref = primal_reference(p.targets.values, p.row_weights(),
+                                           res.dual.alpha)
+                    where = f"lam={lam} case={case} max_iters={max_iters}"
+                    assert res.matrix.values.tobytes() == ref.tobytes(), where
