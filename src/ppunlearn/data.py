@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DataError, LabelMappingError, ParseError, ShapeError,
                      SpecError)
+from .fileio import atomic_open
 
 SPLIT_RATIOS = (0.7, 0.1, 0.2)  # train / validation / test
 
@@ -274,30 +276,62 @@ def make_forget_split(ds: Dataset, spec: ForgetSpec) -> SplitResult:
 def save_dataset(ds: Dataset, path) -> None:
     """Persist arrays (<path>.npz) plus a JSON manifest (<path>.manifest.json)."""
     base = str(path).removesuffix(".npz")
-    np.savez(
-        base + ".npz",
-        inputs=ds.inputs,
-        labels=ds.labels,
-        **{f"split_{k}": v for k, v in ds.splits.items()},
-    )
+    # through a file object: given a name, np.savez would append ".npz"
+    with atomic_open(base + ".npz", "wb") as fh:
+        np.savez(
+            fh,
+            inputs=ds.inputs,
+            labels=ds.labels,
+            **{f"split_{k}": v for k, v in ds.splits.items()},
+        )
     manifest = {
         "n_classes": ds.n_classes,
         "provenance": ds.provenance,
         "splits": {k: v.tolist() for k, v in ds.splits.items()},
     }
-    with open(base + ".manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_open(base + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset written by ``save_dataset``.
+
+    Anything that does not decode, a missing array or manifest field,
+    inputs that are not a finite 2-D matrix, and arrays whose content hash
+    differs from the one a ``gen_blobs`` provenance records raise DataError
+    naming the file.
+    """
     base = str(path).removesuffix(".npz")
-    with np.load(base + ".npz") as z:
-        inputs = z["inputs"]
-        labels = z["labels"]
-        splits = {
-            k[len("split_"):]: z[k] for k in z.files if k.startswith("split_")
-        }
-    with open(base + ".manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return Dataset(inputs, labels, splits, manifest["n_classes"],
-                   manifest["provenance"])
+    npz, manifest_path = base + ".npz", base + ".manifest.json"
+    try:
+        with np.load(npz) as z:
+            inputs = z["inputs"]
+            labels = z["labels"]
+            splits = {k[len("split_"):]: z[k] for k in z.files
+                      if k.startswith("split_")}
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{npz}: not a readable dataset: {exc}") from exc
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        n_classes, provenance = manifest["n_classes"], manifest["provenance"]
+        if not (isinstance(n_classes, int) and isinstance(provenance, dict)):
+            raise TypeError("n_classes must be an integer and provenance "
+                            "an object")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(
+            f"{manifest_path}: not a dataset manifest: {exc!r}") from exc
+    if (inputs.ndim != 2 or inputs.dtype.kind not in "iuf"
+            or not np.isfinite(inputs).all()):
+        raise DataError(f"{npz}: inputs must be a finite 2-D matrix")
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise DataError(f"{npz}: labels must be a 1-D integer array")
+    if (provenance.get("generator") == "blobs"
+            and provenance.get("content_hash") != _content_hash(inputs,
+                                                                labels)):
+        raise DataError(f"{npz}: arrays do not match the manifest's "
+                        "content hash")
+    try:
+        return Dataset(inputs, labels, splits, n_classes, provenance)
+    except (DataError, ShapeError, KeyError) as exc:
+        raise DataError(f"{npz}: {exc}") from exc

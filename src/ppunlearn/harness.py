@@ -26,6 +26,7 @@ from .data import (Dataset, ForgetSpec, gen_blobs, load_csv, load_dataset,
                    make_forget_split, save_dataset)
 from .errors import DataError, UsageError
 from .evaluate import MiaConfig, evaluate_model, mia_attack, time_stage
+from .fileio import atomic_open
 from .model import (ModelLayout, ModelParams, TrainConfig, init_model,
                     load_model, save_model, train_ce)
 from .pipeline import (CRITERIA, ERROR_METRICS, METHOD_NAMES, UnlearnTask,
@@ -168,7 +169,7 @@ def _provenance() -> str:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -364,7 +365,18 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
         params, _ = load_model(unlearned_path)
         method_record = _read_json(method_path)
     else:
-        report = _run_method(cfg, ds, split, original)
+        ckpt_dir = run_dir / "checkpoints"
+
+        def write_checkpoint(entry):
+            # called on this thread as each epoch's snapshot completes
+            ckpt_dir.mkdir(exist_ok=True)
+            save_model(entry.params,
+                       ckpt_dir / f"epoch_{entry.epoch:03d}.ckpt",
+                       epoch=entry.epoch,
+                       error_rates={k: entry.metrics[k]
+                                    for k in ERROR_METRICS})
+
+        report = _run_method(cfg, ds, split, original, write_checkpoint)
         params = report.params
         method_record = {
             "method": report.method,
@@ -377,15 +389,6 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
         save_model(params, unlearned_path, epoch=report.selected_epoch)
         if report.refine_result is not None:
             save_refine_result(report.refine_result, run_dir / "refined")
-        if report.checkpoints is not None:
-            ckpt_dir = run_dir / "checkpoints"
-            ckpt_dir.mkdir(exist_ok=True)
-            for entry in report.checkpoints.entries:
-                save_model(entry.params,
-                           ckpt_dir / f"epoch_{entry.epoch:03d}.ckpt",
-                           epoch=entry.epoch,
-                           error_rates={k: entry.metrics[k]
-                                        for k in ERROR_METRICS})
         _write_json(method_path, method_record)
         _mark_stage(run_dir, "method")
 
@@ -397,7 +400,9 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
     return summary
 
 
-def _run_method(cfg, ds, split, original):
+def _run_method(cfg, ds, split, original, on_checkpoint=None):
+    """Run ``cfg.method``; a PPU method hands each fine-tuning checkpoint
+    to ``on_checkpoint`` as it completes."""
     if cfg.method.startswith("baseline:"):
         spec = _baseline_spec(cfg, cfg.method.split(":", 1)[1])
         return run_baseline(spec, ds, split, original=original)
@@ -418,13 +423,13 @@ def _run_method(cfg, ds, split, original):
     # called by module-level name, so that wrappers installed on these
     # names (tracing) see every call
     if task.mode == "bias":
-        return ppu_bias(original, task)
+        return ppu_bias(original, task, on_checkpoint)
     if task.mode == "privacy":
-        return ppu_privacy(original, task)
+        return ppu_privacy(original, task, on_checkpoint)
     # Adaptive runs after the finetune baseline by default.
     predecessor = run_baseline(_baseline_spec(cfg, "finetune"), ds, split,
                                original=original)
-    return adaptive_post(predecessor.params, task)
+    return adaptive_post(predecessor.params, task, on_checkpoint)
 
 
 def _mia_report(cfg: ExperimentConfig, ds, split, params):

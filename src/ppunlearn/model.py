@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, LayoutError, ShapeError, UsageError
+from .fileio import atomic_open
 from .probmatrix import FLOOR, ProbMatrix, kl_rows
 
 _CKPT_MAGIC = b"UNLMDL01"
@@ -96,7 +97,8 @@ class CheckpointEntry:
 
 @dataclass
 class CheckpointSet:
-    """Per-epoch snapshots from a fine-tuning run, epoch indices increasing."""
+    """Snapshots from a fine-tuning run, epoch indices increasing: every
+    epoch's from ``finetune_kl`` by default, or the ones a caller kept."""
 
     entries: list
     initial_loss: float = float("nan")
@@ -319,7 +321,8 @@ def _eval_rows(params: ModelParams, rows, n: int) -> np.ndarray:
 
 
 def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
-                eval_sets=None, row_weights=None) -> CheckpointSet:
+                eval_sets=None, row_weights=None,
+                on_entry=None) -> CheckpointSet:
     """Fine-tune toward target distributions, snapshotting every epoch.
 
     Args:
@@ -332,6 +335,11 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
             rows from the outputs of ``params``.
         row_weights: optional per-row positive weights for the loss (used to
             weight retain rows by lambda); normalized internally.
+        on_entry: called with each completed CheckpointEntry, on the calling
+            thread and in epoch order; the default appends it to the
+            returned set.  A consumer that keeps only the entries it needs
+            bounds the weight copies held to a few, whatever the epoch
+            count.
 
     A snapshot runs one forward pass over ``inputs`` and no backward pass:
     its ``kl_loss`` and the metrics of every positional subset come from
@@ -342,8 +350,9 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     the next epoch's SGD; entries are completed on the calling thread, in
     epoch order.
 
-    Returns a CheckpointSet with one entry per epoch; ``initial_loss`` holds
-    the full-data loss before any update.
+    Returns a CheckpointSet holding the entries the default ``on_entry``
+    collected, one per epoch (none with a consumer of the caller's own);
+    ``initial_loss`` holds the full-data loss before any update.
     """
     if cfg.loss != "kl":
         raise UsageError(f"finetune_kl requires loss='kl', got {cfg.loss!r}")
@@ -419,12 +428,14 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
         return metrics
 
     entries = []
+    if on_entry is None:
+        on_entry = entries.append
 
     def finish(epoch, p, evaluation):
         metrics = evaluation.result()
         for name in drift:
             metrics[name] = float(kl_rows(metrics[name], refs[name]).mean())
-        entries.append(CheckpointEntry(epoch, p, metrics))
+        on_entry(CheckpointEntry(epoch, p, metrics))
 
     # imported here, not at the top: it loads logging, which would add to
     # the import time of every ppunlearn process
@@ -457,7 +468,7 @@ def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:
     ".json") records seed, epoch and error rates.
     """
     lay = params.layout
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<IIII", _CKPT_VERSION, lay.d_in, lay.hidden,
                              lay.n_classes))
@@ -468,7 +479,7 @@ def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:
         "epoch": epoch,
         "error_rates": error_rates or {},
     }
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+    with atomic_open(str(path) + ".json") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 

@@ -75,8 +75,10 @@ class UnlearnTask:
 class UnlearnReport:
     """Outcome of a pipeline run: final weights plus the full trail.
 
-    ``checkpoints`` and ``refine_result`` carry the heavyweight artifacts
-    (per-epoch snapshots, refined target matrix) so callers can persist them.
+    ``checkpoints`` holds the selected epoch's snapshot alone, so a run
+    keeps a few weight copies whatever its epoch count; a caller that
+    persists every epoch's snapshot takes them from ``on_checkpoint`` as
+    they complete.  ``refine_result`` carries the refined target matrix.
     """
 
     params: ModelParams
@@ -100,6 +102,25 @@ class UnlearnReport:
         }
 
 
+def _selection_score(criterion: str, reference: float):
+    """The score ``select_checkpoint`` minimizes, as a function of a
+    checkpoint's metrics."""
+    if criterion == "forget-error-proxy":
+        return lambda metrics: abs(metrics["forget"] - reference)
+    if criterion != "output-distance":
+        raise UsageError(f"unknown selection criterion {criterion!r}")
+
+    def distance(metrics):
+        try:
+            return metrics["retain_kl"]
+        except KeyError:
+            raise UsageError(
+                "output-distance selection needs a 'retain_kl' metric on "
+                "every checkpoint"
+            ) from None
+    return distance
+
+
 def select_checkpoint(cps: CheckpointSet, criterion: str = "forget-error-proxy",
                       reference: float = 0.0):
     """Pick the checkpoint matching the criterion; ties go to the earliest.
@@ -110,21 +131,31 @@ def select_checkpoint(cps: CheckpointSet, criterion: str = "forget-error-proxy",
     """
     if len(cps) == 0:
         raise UsageError("cannot select from an empty checkpoint set")
-    if criterion == "forget-error-proxy":
-        scores = [abs(e.metrics["forget"] - reference) for e in cps.entries]
-    elif criterion == "output-distance":
-        try:
-            scores = [e.metrics["retain_kl"] for e in cps.entries]
-        except KeyError:
-            raise UsageError(
-                "output-distance selection needs a 'retain_kl' metric on "
-                "every checkpoint"
-            )
-    else:
-        raise UsageError(f"unknown selection criterion {criterion!r}")
+    score = _selection_score(criterion, reference)
+    scores = [score(e.metrics) for e in cps.entries]
     best = int(np.argmin(scores))  # argmin takes the first minimum
     entry = cps.entries[best]
     return entry.epoch, entry.params
+
+
+class _RunningSelection:
+    """The checkpoint ``select_checkpoint`` would pick from the entries seen
+    so far, kept one entry at a time: the first minimum of the score, a NaN
+    score counting as the minimum as it does for ``np.argmin``; without a
+    score, the latest entry."""
+
+    def __init__(self, score=None):
+        self.score, self.entry, self.best = score, None, None
+
+    def offer(self, entry):
+        if self.score is None:
+            self.entry = entry
+            return
+        s = self.score(entry.metrics)
+        # NaN != NaN: a held NaN stays, a new NaN displaces any number
+        if self.entry is None or (self.best == self.best
+                                  and (s < self.best or s != s)):
+            self.entry, self.best = entry, s
 
 
 def _train_positions(ds: Dataset, split: SplitResult):
@@ -136,7 +167,8 @@ def _train_positions(ds: Dataset, split: SplitResult):
     return train, fpos, rpos
 
 
-def _run_ppu(source: ModelParams, task: UnlearnTask) -> UnlearnReport:
+def _run_ppu(source: ModelParams, task: UnlearnTask,
+             on_checkpoint=None) -> UnlearnReport:
     ds, split = task.dataset, task.split
     style, method = task.style, METHOD_NAMES[task.mode]
     train_idx, fpos, rpos = _train_positions(ds, split)
@@ -189,26 +221,38 @@ def _run_ppu(source: ModelParams, task: UnlearnTask) -> UnlearnReport:
     weights = np.ones(len(train_idx))
     weights[rpos] = task.lam
 
+    # the reference depends on the source model alone, so the selection can
+    # run as the checkpoints complete, holding only the one it would pick;
+    # "select" times the reference, and each pick runs inside "finetune"
     t0 = time.perf_counter()
-    cps = finetune_kl(source, X, targets, task.finetune,
-                      eval_sets=eval_sets, row_weights=weights)
-    timings["finetune"] = time.perf_counter() - t0
-
-    trajectory = [dict(e.metrics, epoch=e.epoch) for e in cps.entries]
-    t0 = time.perf_counter()
+    score = None
     if style == "privacy":
         reference = _forget_class_test_error(source, ds, split)
-        epoch, params = select_checkpoint(cps, task.selection, reference)
+        score = _selection_score(task.selection, reference)
         flags["selection_reference"] = reference
-    else:
-        entry = cps.entries[-1]
-        epoch, params = entry.epoch, entry.params
+    selection = _RunningSelection(score)
     timings["select"] = time.perf_counter() - t0
+    trajectory = []
 
+    def keep(entry):
+        trajectory.append(dict(entry.metrics, epoch=entry.epoch))
+        if on_checkpoint is not None:
+            on_checkpoint(entry)
+        selection.offer(entry)
+
+    t0 = time.perf_counter()
+    cps = finetune_kl(source, X, targets, task.finetune,
+                      eval_sets=eval_sets, row_weights=weights,
+                      on_entry=keep)
+    timings["finetune"] = time.perf_counter() - t0
+
+    entry = selection.entry
     return UnlearnReport(
-        params=params, selected_epoch=epoch, trajectory=trajectory,
-        refine_summary=refine_summary, timings=timings, flags=flags,
-        method=method, checkpoints=cps, refine_result=refine_result,
+        params=entry.params, selected_epoch=entry.epoch,
+        trajectory=trajectory, refine_summary=refine_summary,
+        timings=timings, flags=flags, method=method,
+        checkpoints=CheckpointSet([entry], initial_loss=cps.initial_loss),
+        refine_result=refine_result,
     )
 
 
@@ -225,23 +269,28 @@ def _forget_class_test_error(source: ModelParams, ds: Dataset,
     return error_rate(source, ds.inputs[rows], ds.labels[rows])
 
 
-def ppu_bias(model: ModelParams, task: UnlearnTask) -> UnlearnReport:
-    """Bias-removal unlearning: direct substitution, no refinement."""
+def ppu_bias(model: ModelParams, task: UnlearnTask,
+             on_checkpoint=None) -> UnlearnReport:
+    """Bias-removal unlearning: direct substitution, no refinement.
+    ``on_checkpoint`` (here and in the other modes) is called with every
+    epoch's CheckpointEntry as it completes, in epoch order."""
     if task.mode != "bias":
         raise UsageError(f"task mode is {task.mode!r}, expected 'bias'")
-    return _run_ppu(model, task)
+    return _run_ppu(model, task, on_checkpoint)
 
 
-def ppu_privacy(model: ModelParams, task: UnlearnTask) -> UnlearnReport:
+def ppu_privacy(model: ModelParams, task: UnlearnTask,
+                on_checkpoint=None) -> UnlearnReport:
     """Privacy-preserving unlearning: refinement plus checkpoint selection."""
     if task.mode != "privacy":
         raise UsageError(f"task mode is {task.mode!r}, expected 'privacy'")
-    return _run_ppu(model, task)
+    return _run_ppu(model, task, on_checkpoint)
 
 
-def adaptive_post(predecessor: ModelParams, task: UnlearnTask) -> UnlearnReport:
+def adaptive_post(predecessor: ModelParams, task: UnlearnTask,
+                  on_checkpoint=None) -> UnlearnReport:
     """Post-process any unlearned/fine-tuned model with either PPU variant,
     seeding targets from the predecessor's outputs."""
     if task.mode != "adaptive":
         raise UsageError(f"task mode is {task.mode!r}, expected 'adaptive'")
-    return _run_ppu(predecessor, task)
+    return _run_ppu(predecessor, task, on_checkpoint)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, TargetError
+from .fileio import atomic_open
 
 FLOOR = 1e-12
 
@@ -205,7 +206,7 @@ def dump_probmatrix(m: ProbMatrix, path) -> None:
         "k": m.n_classes,
         "row_ids": m.row_ids.tolist(),
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         fh.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (InfeasibleProblemError, NumericalOverflowError,
                      ShapeError, UsageError)
+from .fileio import atomic_open
 from .probmatrix import (FLOOR, ProbMatrix, class_mass, dump_probmatrix,
                          kl_rows)
 
@@ -299,5 +300,5 @@ def save_refine_result(result: RefineResult, prefix) -> None:
         "alpha": result.dual.alpha.tolist(),
         "eta_schedule": [[it, eta] for it, eta in result.eta_schedule],
     }
-    with open(str(prefix) + ".json", "w", encoding="utf-8") as fh:
+    with atomic_open(str(prefix) + ".json") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -161,6 +161,48 @@ class TestRunDirectoryArtifacts:
             assert sidecar["error_rates"] == {
                 k: entry[k] for k in ("forget", "retain", "test")}
 
+    @pytest.mark.parametrize("method", ["ppu-bias", "ppu-privacy",
+                                        "adaptive"])
+    def test_streamed_checkpoints_equal_the_full_set(self, tmp_path,
+                                                     monkeypatch, method):
+        # the files written as the epochs complete hold the bytes that
+        # saving finetune_kl's default set afterwards would write
+        from ppunlearn import pipeline
+        from ppunlearn.model import finetune_kl, save_model
+        from ppunlearn.pipeline import ERROR_METRICS
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, {k: v for k, v in kwargs.items()
+                                 if k != "on_entry"}))
+            return finetune_kl(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "finetune_kl", recording)
+        run_dir = tmp_path / "run"
+        run_experiment(blob_config(run_dir, method=method))
+        (args, kwargs), = calls
+        full = finetune_kl(*args, **kwargs)
+        assert len(full) == 3
+        assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) \
+            == sorted(f"epoch_{k:03d}.ckpt{ext}" for k in (1, 2, 3)
+                      for ext in ("", ".json"))
+        for entry in full.entries:
+            name = f"epoch_{entry.epoch:03d}.ckpt"
+            save_model(entry.params, tmp_path / name, epoch=entry.epoch,
+                       error_rates={k: entry.metrics[k]
+                                    for k in ERROR_METRICS})
+            for ext in ("", ".json"):
+                assert (run_dir / "checkpoints" / (name + ext)).read_bytes() \
+                    == (tmp_path / (name + ext)).read_bytes()
+
+    def test_zero_epoch_run_writes_no_checkpoints(self, tmp_path):
+        run_dir = tmp_path / "run"
+        cfg = blob_config(run_dir, method="ppu-privacy")
+        cfg.finetune = dict(cfg.finetune, epochs=0)
+        run_experiment(cfg)
+        assert (run_dir / "unlearned.ckpt").exists()
+        assert not (run_dir / "checkpoints").exists()
+
     def test_bench_three_methods_three_rows(self, tmp_path):
         run_dir = tmp_path / "bench"
         cfg = blob_config(run_dir)
@@ -197,6 +239,38 @@ class TestRunDirectoryArtifacts:
         assert [r.label for r in records] == [
             "ppu-privacy", "baseline:retrain", "baseline:finetune"]
         assert state() == before
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # json.dump has written part of the payload when it meets the
+        # object it cannot encode
+        from ppunlearn.harness import _write_json
+        path = tmp_path / "method.json"
+        _write_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["method.json"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        from ppunlearn.model import ModelLayout, init_model, save_model
+        params = init_model(ModelLayout(2, 3, 2), seed=0)
+        with pytest.raises(TypeError):
+            save_model(params, tmp_path / "m.ckpt",
+                       error_rates={"forget": object()})
+        # the binary is complete and in place; the sidecar never appeared
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_dataset_bytes_match_a_direct_savez(self, tmp_path):
+        from ppunlearn.data import gen_blobs, save_dataset
+        ds = gen_blobs(3, 4, 30, 0.5, seed=9)
+        save_dataset(ds, tmp_path / "ds")
+        np.savez(tmp_path / "direct.npz", inputs=ds.inputs, labels=ds.labels,
+                 **{f"split_{k}": v for k, v in ds.splits.items()})
+        assert (tmp_path / "ds.npz").read_bytes() == \
+            (tmp_path / "direct.npz").read_bytes()
 
 
 class TestSweep:
@@ -384,6 +458,62 @@ class TestCli:
             assert main(["unlearn", "--config", str(cfg_path),
                          "--out-dir", str(run_dir)]) == 3
             assert str(path) in capsys.readouterr().err
+
+    @staticmethod
+    def _edit_npz(path, **changes):
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        for key, value in changes.items():
+            if value is None:
+                del arrays[key]
+            else:
+                arrays[key] = value(arrays[key])
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @staticmethod
+    def _set_nan(inputs):
+        inputs = inputs.copy()
+        inputs[0, 0] = np.nan
+        return inputs
+
+    @pytest.mark.parametrize("case,named,says", [
+        ("truncated", "dataset.npz", "not a readable dataset"),
+        ("no-labels", "dataset.npz", "labels"),
+        ("no-n_classes", "dataset.manifest.json", "n_classes"),
+        ("nan-input", "dataset.npz", "finite"),
+        ("edited-input", "dataset.npz", "content hash"),
+    ])
+    def test_corrupt_dataset_exit_code(self, tmp_path, capsys, case, named,
+                                       says):
+        # a resumed run loads the dataset its data stage wrote
+        from ppunlearn.cli import main
+        from ppunlearn.data import _content_hash
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob_config(tmp_path / "run").to_dict()))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 0
+        npz = tmp_path / "run" / "dataset.npz"
+        manifest_path = tmp_path / "run" / "dataset.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if case == "truncated":
+            npz.write_bytes(npz.read_bytes()[:len(npz.read_bytes()) // 2])
+        elif case == "no-labels":
+            self._edit_npz(npz, labels=None)
+        elif case == "no-n_classes":
+            del manifest["n_classes"]
+        elif case == "nan-input":
+            # with a matching hash, so that only the finiteness check fails
+            self._edit_npz(npz, inputs=self._set_nan)
+            with np.load(npz) as z:
+                manifest["provenance"]["content_hash"] = _content_hash(
+                    z["inputs"], z["labels"])
+        else:
+            self._edit_npz(npz, inputs=lambda x: x + 1.0)
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["unlearn", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert named in err and says in err
 
     def test_sweep_command(self, tmp_path):
         from ppunlearn.cli import main

@@ -175,6 +175,23 @@ class TestFinetuneKl:
         for e in cps.entries:
             assert set(e.metrics) == {"kl_loss", "train", "drift"}
 
+    def test_on_entry_streams_the_default_entries(self, rng):
+        X = rng.normal(size=(24, 3))
+        params = init_model(ModelLayout(3, 6, 4), seed=4)
+        targets = forward_probs(params, X)
+        cfg = TrainConfig(lr=0.5, epochs=4, batch_size=8, seed=1, loss="kl")
+        sets = {"drift": (np.arange(24), None)}
+        full = finetune_kl(params, X, targets, cfg, eval_sets=sets)
+        streamed = []
+        rest = finetune_kl(params, X, targets, cfg, eval_sets=sets,
+                           on_entry=streamed.append)
+        assert len(rest) == 0 and rest.initial_loss == full.initial_loss
+        assert [e.epoch for e in streamed] == [1, 2, 3, 4]
+        for a, b in zip(full.entries, streamed):
+            assert a.metrics == b.metrics
+            for ta, tb in zip(a.params.tensors(), b.params.tensors()):
+                assert np.array_equal(ta, tb)
+
     def test_positional_eval_sets_match_input_matrices(self, rng):
         X = rng.normal(size=(24, 3))
         y = rng.integers(0, 4, size=24)

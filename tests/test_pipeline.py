@@ -246,7 +246,8 @@ class TestFusedSnapshot:
         task = UnlearnTask(ds, split, style, scheme, kl_cfg(4), lam=0.5,
                            refine_cfg=RefineConfig(eta=1.0 / 440))
         run = ppu_privacy if style == "privacy" else ppu_bias
-        rep = run(small_model, task)
+        checkpoints = []
+        rep = run(small_model, task, on_checkpoint=checkpoints.append)
 
         train_idx, fpos, rpos = _train_positions(ds, split)
         X = ds.inputs[train_idx]
@@ -263,8 +264,8 @@ class TestFusedSnapshot:
         xr = subsets["retain"][0]
         source_retain = forward_probs(small_model, xr)
 
-        assert len(rep.trajectory) == len(rep.checkpoints) == 4
-        for entry, cp in zip(rep.trajectory, rep.checkpoints.entries):
+        assert len(rep.trajectory) == len(checkpoints) == 4
+        for entry, cp in zip(rep.trajectory, checkpoints):
             p = cp.params
             expected = {"epoch": cp.epoch,
                         "kl_loss": kl_loss(p, X, targets, weights)}
@@ -274,6 +275,88 @@ class TestFusedSnapshot:
                 expected["retain_kl"] = float(
                     kl_rows(forward_probs(p, xr), source_retain).mean())
             assert entry == expected
+
+
+class TestStreamedSelection:
+    """The pipeline selects while the checkpoints stream in, and keeps only
+    the selected one."""
+
+    @staticmethod
+    def _entries(scores, key):
+        p = init_model(ModelLayout(2, 2, 2), seed=0)
+        return [CheckpointEntry(i + 1, p, {key: s})
+                for i, s in enumerate(scores)]
+
+    @pytest.mark.parametrize("criterion,key,scores", [
+        ("forget-error-proxy", "forget", [40.0, 12.0, 31.0, 22.0, 28.0]),
+        ("forget-error-proxy", "forget", [30.0, 20.0, 22.0, 20.0, 28.0]),
+        ("forget-error-proxy", "forget", [30.0, float("nan"), 25.0, np.nan]),
+        ("output-distance", "retain_kl", [0.5, 0.1, 0.3, 0.05, 0.2]),
+        ("output-distance", "retain_kl", [0.5, 0.1, 0.1, 0.3]),
+        ("output-distance", "retain_kl", [0.2, 0.1, np.nan, 0.0]),
+    ], ids=["proxy", "proxy-tie", "proxy-nan", "distance", "distance-tie",
+            "distance-nan"])
+    def test_online_pick_equals_select_checkpoint(self, criterion, key,
+                                                  scores):
+        from ppunlearn.pipeline import _RunningSelection, _selection_score
+        entries = self._entries(scores, key)
+        running = _RunningSelection(_selection_score(criterion, 25.0))
+        for entry in entries:
+            running.offer(entry)
+        epoch, params = select_checkpoint(CheckpointSet(entries), criterion,
+                                          reference=25.0)
+        assert running.entry.epoch == epoch
+        assert running.entry.params is params
+
+    def test_without_score_the_last_entry_is_kept(self):
+        from ppunlearn.pipeline import _RunningSelection
+        running = _RunningSelection()
+        for entry in self._entries([3.0, 1.0, 2.0], "forget"):
+            running.offer(entry)
+        assert running.entry.epoch == 3
+
+    @pytest.mark.parametrize("selection", ["forget-error-proxy",
+                                           "output-distance"])
+    def test_privacy_run_selects_as_select_checkpoint_would(
+            self, small_blobs, small_split, small_model, selection):
+        task = UnlearnTask(small_blobs, small_split, "privacy",
+                           PseudoScheme("random-softmax", seed=7), kl_cfg(6),
+                           refine_cfg=RefineConfig(), selection=selection)
+        streamed = []
+        rep = ppu_privacy(small_model, task, on_checkpoint=streamed.append)
+        epoch, params = select_checkpoint(
+            CheckpointSet(streamed), selection,
+            rep.flags["selection_reference"])
+        assert rep.selected_epoch == epoch
+        assert rep.params is params
+        assert [cp.epoch for cp in rep.checkpoints.entries] == [epoch]
+
+    def test_held_memory_does_not_grow_with_epochs(self):
+        # few rows and a wide hidden layer, so that a weight copy (≈ 260 KB)
+        # outweighs each epoch's trajectory record many times over
+        import tracemalloc
+        from ppunlearn import ForgetSpec, gen_blobs, make_forget_split
+        ds = gen_blobs(n_classes=3, dim=4, n_per_class=10, spread=0.6, seed=3)
+        split = make_forget_split(ds, ForgetSpec("selective", 0, 3, seed=1))
+        model = init_model(ModelLayout(4, 4096, 3), seed=1)
+        copy_bytes = sum(t.nbytes for t in model.tensors())
+
+        def peak(epochs):
+            task = UnlearnTask(ds, split, "bias", PseudoScheme("uniform"),
+                               kl_cfg(epochs))
+            tracemalloc.start()
+            try:
+                rep = ppu_bias(model, task)
+                return tracemalloc.get_traced_memory()[1], rep
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations (lazy imports) out of the way
+        short, _ = peak(4)
+        long, rep = peak(100)
+        # holding every epoch's weights would add 96 copies
+        assert long - short < 2 * copy_bytes
+        assert rep.selected_epoch == 100 and len(rep.checkpoints) == 1
 
 
 class TestDeterminism:
