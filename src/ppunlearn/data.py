@@ -287,7 +287,6 @@ def save_dataset(ds: Dataset, path) -> None:
     manifest = {
         "n_classes": ds.n_classes,
         "provenance": ds.provenance,
-        "splits": {k: v.tolist() for k, v in ds.splits.items()},
     }
     with atomic_open(base + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

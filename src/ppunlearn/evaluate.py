@@ -2,11 +2,11 @@
 wall-clock timing of pipeline stages.
 
 The attacker is a 1-D logistic regression on per-example cross-entropy
-losses, fit by deterministic full-batch gradient descent: forget-set losses
-are labeled "in", test-set losses "out", the sets are balanced by seeded
-subsampling, and accuracy is measured on a held-out stratified 20% over
-several split seeds.  50% accuracy means the attacker cannot tell the
-forget set from unseen data.
+losses, fit exactly (Newton's method, or a midpoint threshold where the two
+sides do not overlap): forget-set losses are labeled "in", test-set losses
+"out", the sets are balanced by seeded subsampling, and accuracy is measured
+on a held-out stratified 20% over several split seeds.  50% accuracy means
+the attacker cannot tell the forget set from unseen data.
 """
 
 from __future__ import annotations
@@ -94,46 +94,46 @@ def example_losses(params: ModelParams, inputs, labels) -> np.ndarray:
     return -np.log(p_true)
 
 
-def _fit_logistic_1d(z: np.ndarray, y: np.ndarray, max_iters: int = 5000,
-                     tol: float = 1e-12):
-    """Full-batch GD with step 1 on standardized scalar features, one fit
-    per row of ``z`` (shape (fits, m)) against the shared labels ``y``;
-    returns the arrays ``(w, b)``.  Fully deterministic.
+NEWTON_MAX_ITERS = 100  # cap on Newton steps; the fits seen take <= 26
+NEWTON_TOL = 1e-8       # step, relative to 1 + |parameter|, that ends a fit
 
-    The rows advance together through the whole budget, so the cost depends
-    on the shapes only, not on how soon a fit converges.  Each row's result
-    is its parameters after the first step whose gradient is below ``tol``
-    in both coordinates, where a loop over that row alone would stop.  The
-    parameters are held negated, so that the exponent -(w z + b) is one
-    product and one sum; negation is exact, so each row equals that loop bit
-    for bit.  The gradients are means taken as ``np.add.reduce(x) / m``,
-    which is how ``np.mean`` computes them.
+
+def _fit_logistic_1d(z: np.ndarray, y: np.ndarray):
+    """The maximum-likelihood fit of ``P(in) = sigmoid(w z + b)``, one per
+    row of ``z`` (shape (fits, m)) against the shared labels ``y`` (1 for
+    "in"); returns the arrays ``(w, b)``.
+
+    Where a row's "in" values all lie at or below its "out" values, or all
+    at or above, no maximum exists; gradient descent tends to the max-margin
+    separator (Soudry et al. 2018), here the midpoint between the closest
+    "in" and "out" values, which such a row gets (``|w| = 1``).  The other
+    rows take undamped Newton steps from (0, 0), all at once, each row
+    stopping after its first step below ``NEWTON_TOL``.
     """
-    fits, m = z.shape
-    # grads[t] holds every row's gradient at step t; grads[0] is the start
-    grads = np.zeros((max_iters + 1, fits, 2))
-    neg = np.zeros((fits, 2))                  # (-w, -b) of every row
-    neg_w, neg_b = neg[:, :1], neg[:, 1:]
-    terms = np.empty((fits, 2, m))
-    weighted, residual = terms[:, 0], terms[:, 1]
-    u = np.empty((fits, m))
-    for grad in grads[1:]:
-        np.multiply(neg_w, z, out=u)
-        u += neg_b
-        np.exp(u, out=u)
-        u += 1.0
-        np.divide(1.0, u, out=u)               # sigmoid(w z + b)
-        np.subtract(u, y, out=residual)
-        np.multiply(residual, z, out=weighted)
-        np.add.reduce(terms, axis=2, out=grad)
-        grad /= m
-        neg += grad
-    below = np.abs(grads[1:]).max(axis=2) < tol
-    stop = np.where(below.any(axis=0), below.argmax(axis=0) + 1, max_iters)
-    # the running sums add the gradients in the loop's order, so they
-    # repeat its parameters after every step
-    final = -np.add.accumulate(grads)[stop, np.arange(fits)]
-    return final[:, 0], final[:, 1]
+    zi, zo = z[:, y == 1], z[:, y == 0]
+    below = zi.max(axis=1) <= zo.min(axis=1)
+    rows = ~below & (zi.min(axis=1) < zo.max(axis=1))     # overlapping
+    w = np.where(below, -1.0, 1.0)
+    b = -w * np.where(below, zi.max(axis=1) + zo.min(axis=1),
+                      zi.min(axis=1) + zo.max(axis=1)) / 2.0
+    z = z[rows]
+    theta = np.zeros((len(z), 2))
+    done = np.zeros(len(z), dtype=bool)
+    for _ in range(NEWTON_MAX_ITERS):
+        if done.all():
+            break
+        with np.errstate(over="ignore"):       # exp(-u) = inf gives p = 0
+            p = 1.0 / (1.0 + np.exp(-(theta[:, :1] * z + theta[:, 1:])))
+        r, s = p - y, p * (1.0 - p)
+        gw, gb = (r * z).sum(1), r.sum(1)
+        hww, hwb, hbb = (s * z * z).sum(1), (s * z).sum(1), s.sum(1)
+        step = np.stack([hbb * gw - hwb * gb, hww * gb - hwb * gw], axis=1)
+        step /= (hww * hbb - hwb * hwb)[:, None]
+        step[done] = 0.0
+        theta -= step
+        done |= (np.abs(step) <= NEWTON_TOL * (1 + np.abs(theta))).all(1)
+    w[rows], b[rows] = theta[:, 0], theta[:, 1]
+    return w, b
 
 
 def _stratified_split(n_per_side: int, seed: int):

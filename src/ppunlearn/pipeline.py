@@ -131,18 +131,16 @@ def select_checkpoint(cps: CheckpointSet, criterion: str = "forget-error-proxy",
     """
     if len(cps) == 0:
         raise UsageError("cannot select from an empty checkpoint set")
-    score = _selection_score(criterion, reference)
-    scores = [score(e.metrics) for e in cps.entries]
-    best = int(np.argmin(scores))  # argmin takes the first minimum
-    entry = cps.entries[best]
-    return entry.epoch, entry.params
+    selection = _RunningSelection(_selection_score(criterion, reference))
+    for entry in cps.entries:
+        selection.offer(entry)
+    return selection.entry.epoch, selection.entry.params
 
 
 class _RunningSelection:
-    """The checkpoint ``select_checkpoint`` would pick from the entries seen
-    so far, kept one entry at a time: the first minimum of the score, a NaN
-    score counting as the minimum as it does for ``np.argmin``; without a
-    score, the latest entry."""
+    """The selected checkpoint of the entries seen so far, one at a time:
+    the first minimum of the score, a NaN counting as the minimum as it does
+    for ``np.argmin``; without a score, the latest entry."""
 
     def __init__(self, score=None):
         self.score, self.entry, self.best = score, None, None

@@ -291,9 +291,9 @@ def logistic_regression_error(X, y, lr=0.5, iters=2000):
 
 
 def logistic_1d_reference(z, y, lr=1.0, max_iters=5000, tol=1e-12):
-    """A frozen copy of the package's original 1-D logistic fit for the
-    membership-inference attack; the package's fit must return the same
-    ``(w, b)`` bit for bit."""
+    """A frozen copy of the full-batch gradient descent that first fit the
+    membership-inference attacker; where a row's losses overlap, run to
+    convergence, it must reach the package's exact fit."""
     w = 0.0
     b = 0.0
     for _ in range(max_iters):

@@ -182,3 +182,12 @@ def test_save_load_round_trip(tmp_path):
     for name in ds.splits:
         assert np.array_equal(back.splits[name], ds.splits[name])
     assert back.provenance == ds.provenance
+
+
+def test_manifest_holds_no_split_lists(tmp_path):
+    # the splits live in the npz alone, where load_dataset reads them
+    import json
+    ds = gen_blobs(3, 4, 30, 0.5, seed=9)
+    save_dataset(ds, tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds.manifest.json").read_text())
+    assert set(manifest) == {"n_classes", "provenance"}

@@ -110,23 +110,81 @@ class TestMiaAttack:
         assert losses == pytest.approx(manual)
 
 
+def _near_separable_row(rng, n=20):
+    """Tightly clustered "in" values with one "out" value just below them
+    and one just above: the fit exists but needs |w| of about 2e6, so
+    exp(-u) overflows on the far "out" values."""
+    zi = -0.25 + 1e-6 * rng.random(n)
+    zo = np.concatenate([[zi.min() - 1e-7, zi.max() + 1e-6],
+                         rng.uniform(0.5, 4.5, n - 2)])
+    return np.concatenate([zi, zo])
+
+
+def _labels(n):
+    return np.concatenate([np.ones(n), np.zeros(n)])
+
+
 class TestFitLogistic1d:
-    def test_matches_frozen_loop_bitwise(self, rng):
-        # separable rows run the whole iteration budget; overlapping ones
-        # stop at the gradient tolerance, at different steps, while the
-        # rows fitted with them go on
+    def test_doubling_the_newton_cap_changes_no_prediction(self, rng,
+                                                           monkeypatch):
+        import ppunlearn.evaluate as ev
+        n = 20
+        rows = [_near_separable_row(rng, n),
+                np.concatenate([rng.normal(0.5, 1.0, n),
+                                rng.normal(-0.5, 1.0, n)]),
+                np.concatenate([rng.normal(2.0, 0.5, n),
+                                rng.normal(-2.0, 0.5, n)]),
+                rng.normal(size=2 * n)]
+        z = np.array(rows)
+        y = _labels(n)
+        grid = np.sort(np.concatenate([z.ravel(), np.linspace(-5, 5, 2001)]))
+        w, b = _fit_logistic_1d(z, y)
+        monkeypatch.setattr(ev, "NEWTON_MAX_ITERS", 2 * ev.NEWTON_MAX_ITERS)
+        w2, b2 = _fit_logistic_1d(z, y)
+        assert np.array_equal(w[:, None] * grid + b[:, None] >= 0.0,
+                              w2[:, None] * grid + b2[:, None] >= 0.0)
+        assert np.array_equal(w, w2) and np.array_equal(b, b2)
+        # a row stops at its own step, whatever the rows fitted with it do
+        for i, row in enumerate(z):
+            assert _fit_logistic_1d(row[None], y) == (w[i], b[i])
+
+    def test_matches_gradient_descent_run_to_convergence(self, rng):
+        # overlapping rows have a maximum-likelihood fit, which GD reaches
         for n in (10, 20, 40):
-            y = np.concatenate([np.ones(n), np.zeros(n)])
-            rows = [np.concatenate([rng.normal(2.0, 0.5, n),
-                                    rng.normal(-2.0, 0.5, n)])]
-            rows += [rng.normal(size=2 * n) for _ in range(2)]
+            y = _labels(n)
+            rows = [np.concatenate([rng.normal(0.5, 1.0, n),
+                                    rng.normal(-0.5, 1.0, n)]),
+                    np.concatenate([rng.normal(-1.0, 1.0, n),
+                                    rng.normal(1.0, 1.0, n)]),
+                    rng.normal(size=2 * n)]
             z = np.array([(r - r.mean()) / r.std() for r in rows])
-            for max_iters in (1, 37, 5000):
-                w, b = _fit_logistic_1d(z, y, max_iters=max_iters)
-                for i, row in enumerate(z):
-                    assert ((w[i], b[i])
-                            == logistic_1d_reference(row, y,
-                                                     max_iters=max_iters))
+            w, b = _fit_logistic_1d(z, y)
+            for i, row in enumerate(z):
+                ref = logistic_1d_reference(row, y, max_iters=1_000_000)
+                assert (w[i], b[i]) == pytest.approx(ref, rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["in-low", "in-high"])
+    def test_separable_rows_get_the_midpoint(self, sign):
+        zi = sign * np.array([-2.0, -1.5, -0.5, -1.0])
+        zo = sign * np.array([0.5, 1.0, 2.5, 0.25])
+        touching = zo.copy()
+        touching[3] = zi[2]                 # max(in) == min(out), mirrored
+        z = np.array([np.concatenate([zi, zo]), np.concatenate([zi, touching])])
+        w, b = _fit_logistic_1d(z, _labels(4))
+        assert np.all(np.sign(w) == -sign)
+        assert list(-b / w) == [sign * -0.125, sign * -0.5]
+        # every training value of the strict row on its own side
+        assert np.all(w[0] * zi + b[0] > 0) and np.all(w[0] * zo + b[0] < 0)
+
+    def test_near_separable_fit_raises_no_warning(self, rng):
+        import warnings
+        n = 20
+        z = _near_separable_row(rng, n)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, b = _fit_logistic_1d(z, _labels(n))
+        assert np.isfinite(w).all() and np.isfinite(b).all()
+        assert np.abs(w * z + b).max() > 710   # exp(-u) did overflow
 
 
 class TestTimeStage:

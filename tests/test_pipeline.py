@@ -57,6 +57,10 @@ class TestSelectCheckpoint:
         with pytest.raises(UsageError):
             select_checkpoint(self._cps([1.0]), "output-distance")
 
+    def test_unknown_criterion_rejected(self):
+        with pytest.raises(UsageError, match="unknown selection criterion"):
+            select_checkpoint(self._cps([1.0]), "forget-error")
+
 
 class TestBiasMode:
     def test_retain_targets_are_model_outputs(self, small_blobs, small_split,
@@ -298,6 +302,8 @@ class TestStreamedSelection:
             "distance-nan"])
     def test_online_pick_equals_select_checkpoint(self, criterion, key,
                                                   scores):
+        # both pick np.argmin over the scores: the first minimum, or the
+        # first NaN
         from ppunlearn.pipeline import _RunningSelection, _selection_score
         entries = self._entries(scores, key)
         running = _RunningSelection(_selection_score(criterion, 25.0))
@@ -305,8 +311,11 @@ class TestStreamedSelection:
             running.offer(entry)
         epoch, params = select_checkpoint(CheckpointSet(entries), criterion,
                                           reference=25.0)
-        assert running.entry.epoch == epoch
-        assert running.entry.params is params
+        score = (np.abs(np.array(scores) - 25.0)
+                 if criterion == "forget-error-proxy" else np.array(scores))
+        expected = entries[int(np.argmin(score))]
+        assert running.entry is expected
+        assert epoch == expected.epoch and params is expected.params
 
     def test_without_score_the_last_entry_is_kept(self):
         from ppunlearn.pipeline import _RunningSelection
