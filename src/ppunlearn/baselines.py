@@ -101,8 +101,9 @@ def neggrad_plus(model: ModelParams, data: Dataset, split: SplitResult,
             return NegGradResult(params, diverged=True, steps=step)
         _, grads_r = _loss_and_grads(params, xr[br], Tr[br], "cross-entropy")
         _, grads_f = _loss_and_grads(params, xf[bf], Tf[bf], "cross-entropy")
-        _momentum_step(params, vel, [gr - ascent_weight * gf
-                                     for gr, gf in zip(grads_r, grads_f)], cfg)
+        _momentum_step(params.tensors(), vel,
+                       [gr - ascent_weight * gf
+                        for gr, gf in zip(grads_r, grads_f)], cfg)
     return NegGradResult(params, diverged=False, steps=iters)
 
 

@@ -40,6 +40,19 @@ METHODS = tuple(METHOD_NAMES.values()) + tuple(f"baseline:{kind}"
 STAGES = ("data", "original", "method", "eval")
 
 
+# (section, key, least value) of the integers a run reads outside the
+# training and refine sections; an absent or null key takes its default.
+# The blob sizes' least values are the ones gen_blobs accepts.
+_INT_FIELDS = (
+    ("dataset", "n_classes", 2), ("dataset", "dim", 1),
+    ("dataset", "n_per_class", 10),
+    ("forget", "target_class", 0), ("forget", "count", 1),
+    ("forget", "seed", 0), ("scheme", "seed", 0),
+    ("seeds", "data", 0), ("seeds", "model", 0), ("seeds", "protocol", 0),
+    ("mia", "repetitions", 1),
+)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one run needs; JSON-serializable and hashable."""
@@ -107,6 +120,22 @@ class ExperimentConfig:
         for name in ("data", "model", "protocol"):
             if name not in self.seeds:
                 problems.append(f"seeds.{name}: required")
+        if self.forget.get("mode") == "selective" and (
+                self.forget.get("count") is None):
+            problems.append("forget.count: must be given in selective mode")
+        for section, key, least in _INT_FIELDS:
+            value = getattr(self, section).get(key)
+            if value is not None and not (_is_int(value) and value >= least):
+                problems.append(f"{section}.{key}: must be an integer >= "
+                                f"{least}, not {value!r}")
+        spread = self.dataset.get("spread")
+        if spread is not None and not (_is_number(spread) and spread > 0):
+            problems.append("dataset.spread: must be a positive number, "
+                            f"not {spread!r}")
+        if not (_is_int(self.timing_repetitions)
+                and self.timing_repetitions >= 1):
+            problems.append("timing_repetitions: must be an integer >= 1, "
+                            f"not {self.timing_repetitions!r}")
         if not self.out_dir:
             problems.append("out_dir: required")
         return problems

@@ -5,16 +5,20 @@ Two losses are supported: cross-entropy against integer labels, and KL
 divergence from caller-supplied target distributions to the model output
 (the target is the left argument).  Everything runs in float64 and is
 bitwise deterministic for a fixed seed with single-threaded BLAS.  The SGD
-loop runs on the calling thread.  Each training run owns one workspace:
-every step gathers its batch into it and writes its activations, gradients
-and momentum update there, so a step allocates no array and computes no
-loss.  Fine-tuning evaluates each epoch's snapshot on one helper thread, one
-epoch behind, on a copy of the weights, so the overlap changes no result.
+loop runs on the calling thread.  Each training run keeps its parameters,
+velocity and gradients in three flat vectors, the weight and gradient
+tensors being views of them, so one momentum update covers every weight.
+Each epoch gathers its shuffled rows once into epoch buffers; a step reads
+a contiguous slice of them and writes its activations and gradients into
+one workspace, so it allocates no array and computes no loss.  Fine-tuning
+evaluates each epoch's snapshot on one helper thread, one epoch behind, on a
+copy of the weights, so the overlap changes no result.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -112,6 +116,22 @@ class CheckpointSet:
         return len(self.entries)
 
 
+def _shapes(layout: ModelLayout):
+    """The shapes of w1, b1, w2 and b2."""
+    d, h, k = layout.d_in, layout.hidden, layout.n_classes
+    return ((d, h), (h,), (h, k), (k,))
+
+
+def _views(flat: np.ndarray, layout: ModelLayout):
+    """w1, b1, w2 and b2 as reshaped views of consecutive parts of ``flat``."""
+    views, start = [], 0
+    for shape in _shapes(layout):
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return tuple(views)
+
+
 def init_model(layout: ModelLayout, seed: int) -> ModelParams:
     """Seeded uniform init in [-s, s] with s = 1/sqrt(fan-in), per layer."""
     rng = np.random.default_rng(seed)
@@ -131,10 +151,12 @@ def _softmax(logits: np.ndarray, out=None, col=None) -> np.ndarray:
     """Row-wise softmax.  ``out`` (which may be ``logits`` itself) receives
     the result, and ``col``, an (n, 1) array, the row maxima and then the row
     sums, so that a caller passing both allocates nothing."""
-    col = np.max(logits, axis=1, keepdims=True, out=col)
+    # the ufunc reductions np.max and np.sum dispatch to, minus their
+    # Python-level wrappers
+    col = np.maximum.reduce(logits, axis=1, keepdims=True, out=col)
     e = np.subtract(logits, col, out=out)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=1, keepdims=True, out=col)
+    e /= np.add.reduce(e, axis=1, keepdims=True, out=col)
     return e
 
 
@@ -179,7 +201,7 @@ def _normalized_weights(n, row_weights, out=None):
     """Row weights scaled to sum to one; equal weights are the scalar 1/n."""
     if row_weights is None:
         return 1.0 / n
-    return np.divide(row_weights, row_weights.sum(), out=out)
+    return np.divide(row_weights, np.add.reduce(row_weights), out=out)
 
 
 def _mean_loss(probs, T, w, kind):
@@ -195,18 +217,18 @@ def _mean_loss(probs, T, w, kind):
 
 class _Workspace:
     """The buffers one training run's SGD steps write into, for batches of
-    up to ``rows`` rows; a shorter batch uses their leading rows."""
+    up to ``rows`` rows; a shorter batch uses their leading rows.  The four
+    gradient buffers ``grads`` are views of one flat vector ``g``."""
 
     def __init__(self, params: ModelParams, rows: int):
-        d, h, k = (params.layout.d_in, params.layout.hidden,
-                   params.layout.n_classes)
-        self.x, self.t, self.w = (np.empty((rows, d)), np.empty((rows, k)),
-                                  np.empty(rows))   # the gathered batch
+        h, k = params.layout.hidden, params.layout.n_classes
+        self.w = np.empty(rows)             # normalized row weights
         self.a1 = np.empty((rows, h))       # activations, then 1 - a1 * a1
         self.da1 = np.empty((rows, h))      # da1, then dz1
         self.logits = np.empty((rows, k))   # logits, probs, then dlogits
         self.col = np.empty((rows, 1))      # row maxima, then row sums
-        self.grads = tuple(np.empty_like(t) for t in params.tensors())
+        self.g = np.empty(sum(t.size for t in params.tensors()))
+        self.grads = _views(self.g, params.layout)
 
 
 def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
@@ -236,20 +258,22 @@ def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
     dlogits *= w if row_weights is None else w[:, None]
     dw1, db1, dw2, db2 = ws.grads
     np.matmul(a1.T, dlogits, out=dw2)
-    np.sum(dlogits, axis=0, out=db2)
+    np.add.reduce(dlogits, axis=0, out=db2)
     dz1 = np.matmul(dlogits, params.w2.T, out=ws.da1[:n])
     np.multiply(a1, a1, out=a1)
     dz1 *= np.subtract(1.0, a1, out=a1)
     np.matmul(X.T, dz1, out=dw1)
-    np.sum(dz1, axis=0, out=db1)
+    np.add.reduce(dz1, axis=0, out=db1)
     return loss, ws.grads
 
 
-def _momentum_step(params, vel, grads, cfg) -> None:
-    """One SGD-with-momentum update of ``params`` and the velocities ``vel``,
-    in place: v <- momentum * v - lr * g, then w <- w + v.  ``grads`` is
-    overwritten with lr * g."""
-    for t, v, g in zip(params.tensors(), vel, grads):
+def _momentum_step(targets, vel, grads, cfg) -> None:
+    """One SGD-with-momentum update, in place, of each array in ``targets``
+    and its velocity in ``vel``: v <- momentum * v - lr * g, then t <- t + v,
+    with ``grads`` overwritten by lr * g.  The three are parallel sequences:
+    the SGD loop passes its flat vectors as 1-tuples, so one update covers
+    every weight, and NegGrad+ passes the four tensors."""
+    for t, v, g in zip(targets, vel, grads):
         v *= cfg.momentum
         v -= np.multiply(g, cfg.lr, out=g)
         t += v
@@ -257,25 +281,37 @@ def _momentum_step(params, vel, grads, cfg) -> None:
 
 def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
     """Shared mini-batch SGD loop; calls ``after_epoch(epoch, params)``.
-    Every step writes into one workspace that the run allocates up front."""
-    params = params.copy()
+
+    The run's parameters, velocity and gradients are three flat vectors:
+    the working params, which are also the ones returned, hold views of the
+    first, and the workspace's gradient buffers are views of the third, so
+    each step makes one momentum update.  Each epoch gathers its shuffled
+    inputs, targets and row weights once into epoch buffers, and each step
+    reads a contiguous slice of them and writes into one workspace that the
+    run allocates up front.
+    """
+    flat = np.concatenate([t.ravel() for t in params.tensors()])
+    params = ModelParams(params.layout, params.seed,
+                         *_views(flat, params.layout))
+    vel = np.zeros_like(flat)
     rng = np.random.default_rng(cfg.seed)
-    vel = [np.zeros_like(t) for t in params.tensors()]
     n = X.shape[0]
     ws = _Workspace(params, min(cfg.batch_size, n))
+    xs, ts = np.empty(X.shape), np.empty(T.shape)
+    rws = None if row_weights is None else np.empty(n)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
+        # "clip" never applies to a permutation's positions, and unlike
+        # "raise" it gathers straight into ``out``
+        np.take(X, order, axis=0, out=xs, mode="clip")
+        np.take(T, order, axis=0, out=ts, mode="clip")
+        if row_weights is not None:
+            np.take(row_weights, order, out=rws, mode="clip")
         for start in range(0, n, cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
-            m = rows.shape[0]
-            # "clip" never applies to a permutation's positions, and unlike
-            # "raise" it gathers straight into ``out``
-            x = np.take(X, rows, axis=0, out=ws.x[:m], mode="clip")
-            t = np.take(T, rows, axis=0, out=ws.t[:m], mode="clip")
-            bw = (None if row_weights is None else
-                  np.take(row_weights, rows, out=ws.w[:m], mode="clip"))
-            _, grads = _loss_and_grads(params, x, t, kind, bw, ws)
-            _momentum_step(params, vel, grads, cfg)
+            batch = slice(start, start + cfg.batch_size)
+            bw = None if row_weights is None else rws[batch]
+            _loss_and_grads(params, xs[batch], ts[batch], kind, bw, ws)
+            _momentum_step((flat,), (vel,), (ws.g,), cfg)
         if after_epoch is not None:
             after_epoch(epoch, params)
     return params
@@ -500,9 +536,8 @@ def load_model(path):
         if version != _CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         layout = ModelLayout(d, h, k)
-        shapes = [(d, h), (h,), (h, k), (k,)]
         tensors = []
-        for shape in shapes:
+        for shape in _shapes(layout):
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:

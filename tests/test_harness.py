@@ -417,6 +417,27 @@ class TestCli:
         ("model", {"epochs": -1}, "model.epochs"),
         ("finetune", {"batch_size": 0}, "finetune.batch_size"),
         ("finetune", {"momentum": 1.0}, "finetune.momentum"),
+        ("forget", {"mode": "selective", "target_class": 0, "count": "25"},
+         "forget.count"),
+        ("forget", {"mode": "selective", "target_class": 0, "count": 0},
+         "forget.count"),
+        ("forget", {"mode": "selective", "target_class": 0}, "forget.count"),
+        ("forget", {"mode": "class", "target_class": "0"},
+         "forget.target_class"),
+        ("forget", {"mode": "class", "target_class": 0, "seed": 1.5},
+         "forget.seed"),
+        ("dataset", {"kind": "blobs", "dim": "8"}, "dataset.dim"),
+        ("dataset", {"kind": "blobs", "n_classes": 5.0}, "dataset.n_classes"),
+        ("dataset", {"kind": "blobs", "n_per_class": True},
+         "dataset.n_per_class"),
+        ("dataset", {"kind": "blobs", "spread": "0.6"}, "dataset.spread"),
+        ("scheme", {"kind": "random-softmax", "seed": "7"}, "scheme.seed"),
+        ("seeds", {"data": "3", "model": 1, "protocol": 2}, "seeds.data"),
+        ("seeds", {"data": 3, "model": -1, "protocol": 2}, "seeds.model"),
+        ("mia", {"repetitions": "5"}, "mia.repetitions"),
+        ("mia", {"repetitions": 0}, "mia.repetitions"),
+        ("timing_repetitions", 2.0, "timing_repetitions"),
+        ("timing_repetitions", 0, "timing_repetitions"),
     ])
     def test_wrong_type_config_exit_code(self, tmp_path, capsys, field,
                                          value, name):

@@ -124,6 +124,20 @@ class TestTrainCe:
             train_ce(init_model(ModelLayout(2, 4, 2), seed=0), X, y,
                      TrainConfig(lr=0.1, epochs=1, loss="kl"))
 
+    def test_one_backward_pass_per_sgd_step(self, monkeypatch):
+        calls = []
+        real = model_module._loss_and_grads
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_loss_and_grads", counting)
+        X, y = two_blob_data(30)
+        cfg = TrainConfig(lr=0.05, epochs=3, batch_size=8, seed=9)
+        train_ce(init_model(ModelLayout(2, 4, 2), seed=3), X, y, cfg)
+        assert len(calls) == 3 * 4  # epochs * ceil(30 / 8)
+
 
 class TestTrainConfig:
     def test_validation(self):
@@ -432,6 +446,61 @@ class TestFrozenSgdLoop:
                 assert ta.tobytes() == tb.tobytes()
         if epochs:
             assert not np.array_equal(out.w1, params.w1)
+
+
+class TestReturnedParams:
+    """The SGD loop's working tensors are views of one flat vector; the
+    params it takes and returns must still behave as separate arrays."""
+
+    def _data(self, rng):
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(0, 4, size=30)
+        targets = ProbMatrix(rng.dirichlet(np.ones(4), size=30))
+        return X, y, targets, init_model(ModelLayout(3, 6, 4), seed=4)
+
+    @staticmethod
+    def _bytes(params):
+        return [t.tobytes() for t in params.tensors()]
+
+    def test_callers_params_untouched(self, rng):
+        X, y, targets, params = self._data(rng)
+        before = self._bytes(params)
+        train_ce(params, X, y, TrainConfig(lr=0.5, epochs=2, batch_size=8))
+        assert self._bytes(params) == before
+        finetune_kl(params, X, targets,
+                    TrainConfig(lr=0.5, epochs=2, batch_size=8, loss="kl"),
+                    row_weights=rng.uniform(0.5, 2.0, 30))
+        assert self._bytes(params) == before
+
+    def test_writes_reach_no_other_tensor_or_checkpoint(self, rng):
+        X, y, targets, params = self._data(rng)
+        trained = train_ce(params, X, y,
+                           TrainConfig(lr=0.5, epochs=2, batch_size=8))
+        before = self._bytes(trained)
+        trained.w1.fill(np.nan)
+        assert self._bytes(trained)[1:] == before[1:]
+
+        cps = finetune_kl(params, X, targets,
+                          TrainConfig(lr=0.5, epochs=3, batch_size=8,
+                                      loss="kl"))
+        before = [self._bytes(e.params) for e in cps.entries]
+        for i, entry in enumerate(cps.entries):
+            for t in entry.params.tensors():
+                t.fill(np.nan)
+            assert [self._bytes(e.params) for e in cps.entries[i + 1:]] == (
+                before[i + 1:])
+
+    def test_save_load_round_trip(self, rng, tmp_path):
+        X, y, targets, params = self._data(rng)
+        trained = train_ce(params, X, y,
+                           TrainConfig(lr=0.5, epochs=2, batch_size=8))
+        cps = finetune_kl(trained, X, targets,
+                          TrainConfig(lr=0.5, epochs=2, batch_size=8,
+                                      loss="kl"))
+        for i, p in enumerate([trained, cps.entries[-1].params]):
+            save_model(p, tmp_path / f"m{i}.ckpt")
+            back, _ = load_model(tmp_path / f"m{i}.ckpt")
+            assert self._bytes(back) == self._bytes(p)
 
 
 class TestGradients:
