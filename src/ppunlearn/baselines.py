@@ -27,7 +27,6 @@ class BaselineSpec:
     kind: str
     train: TrainConfig
     neggrad_iters: int = 500
-    ascent_weight: float = 0.5
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -123,7 +122,7 @@ def run_baseline(spec: BaselineSpec, data: Dataset, split: SplitResult,
         params = finetune_retain(original, data, split, spec.train)
     else:
         result = neggrad_plus(original, data, split, spec.train,
-                              spec.neggrad_iters, spec.ascent_weight)
+                              spec.neggrad_iters)
         params = result.params
         if result.diverged:
             flags["neggrad_diverged"] = True

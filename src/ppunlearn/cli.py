@@ -32,8 +32,9 @@ def _out_path(path: str) -> str:
 
 
 def _load_config(path: str):
-    from .harness import ExperimentConfig, _read_json
-    cfg = ExperimentConfig.from_dict(_read_json(path))
+    from .fileio import read_json
+    from .harness import ExperimentConfig
+    cfg = ExperimentConfig.from_dict(read_json(path))
     cfg.out_dir = _out_path(cfg.out_dir)
     return cfg
 
@@ -96,30 +97,19 @@ def _cmd_eval(args) -> int:
 
 def _cmd_mia(args) -> int:
     from dataclasses import asdict
-    from .data import load_dataset, make_forget_split
-    from .harness import (ExperimentConfig, _forget_spec, _mia_report,
-                          _read_json)
-    from .model import load_model
-    run_dir = _out_path(args.run_dir)
-    cfg = ExperimentConfig.from_dict(_read_json(os.path.join(run_dir,
-                                                             "config.json")))
-    cfg.mia = dict(cfg.mia, repetitions=args.repetitions)
-    ds = load_dataset(os.path.join(run_dir, "dataset"))
-    split = make_forget_split(ds, _forget_spec(cfg))
-    params, _ = load_model(os.path.join(run_dir, "unlearned.ckpt"))
-    report = _mia_report(cfg, ds, split, params)
+    from .harness import attack_run
+    report = attack_run(_out_path(args.run_dir), args.repetitions)
     print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    from .data import make_forget_split
-    from .harness import (_build_dataset, _forget_spec, _train_original,
+    from .harness import (_build_dataset, _forget_split, _train_original,
                           bench_methods)
     cfg = _load_config(args.config)
     cfg.check()
     ds = _build_dataset(cfg)
-    split = make_forget_split(ds, _forget_spec(cfg))
+    split = _forget_split(cfg, ds)
     original = _train_original(cfg, ds)
     records = bench_methods(cfg, ds, split, original)
     for rec in records:

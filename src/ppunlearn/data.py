@@ -13,7 +13,6 @@ IDX image container) can slot in as peers of ``load_csv`` returning a
 from __future__ import annotations
 
 import hashlib
-import json
 import zipfile
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import (DataError, LabelMappingError, ParseError, ShapeError,
                      SpecError)
-from .fileio import atomic_open
+from .fileio import atomic_open, read_json, write_json
 
 SPLIT_RATIOS = (0.7, 0.1, 0.2)  # train / validation / test
 
@@ -177,7 +176,7 @@ def gen_blobs(n_classes: int, dim: int, n_per_class: int, spread: float,
     return Dataset(inputs, labels, splits, n_classes, provenance)
 
 
-def load_csv(path, ratios=SPLIT_RATIOS) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a numeric CSV whose last column is an integer label.
 
     A header row is auto-detected (first row with any non-numeric field).
@@ -220,11 +219,11 @@ def load_csv(path, ratios=SPLIT_RATIOS) -> Dataset:
             f"labels are not contiguous from 0; remap needed: {remap}"
         )
     n_classes = int(uniq.size)
-    splits = _per_class_splits(labels, n_classes, ratios)
+    splits = _per_class_splits(labels, n_classes, SPLIT_RATIOS)
     provenance = {
         "path": str(path),
         "content_hash": hashlib.sha256(raw).hexdigest(),
-        "ratios": list(ratios),
+        "ratios": list(SPLIT_RATIOS),
     }
     return Dataset(inputs, labels, splits, n_classes, provenance)
 
@@ -284,12 +283,8 @@ def save_dataset(ds: Dataset, path) -> None:
             labels=ds.labels,
             **{f"split_{k}": v for k, v in ds.splits.items()},
         )
-    manifest = {
-        "n_classes": ds.n_classes,
-        "provenance": ds.provenance,
-    }
-    with atomic_open(base + ".manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_json(base + ".manifest.json",
+               {"n_classes": ds.n_classes, "provenance": ds.provenance})
 
 
 def load_dataset(path) -> Dataset:
@@ -310,14 +305,13 @@ def load_dataset(path) -> Dataset:
                       if k.startswith("split_")}
     except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"{npz}: not a readable dataset: {exc}") from exc
+    manifest = read_json(manifest_path)
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
         n_classes, provenance = manifest["n_classes"], manifest["provenance"]
         if not (isinstance(n_classes, int) and isinstance(provenance, dict)):
             raise TypeError("n_classes must be an integer and provenance "
                             "an object")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DataError(
             f"{manifest_path}: not a dataset manifest: {exc!r}") from exc
     if (inputs.ndim != 2 or inputs.dtype.kind not in "iuf"

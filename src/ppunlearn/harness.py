@@ -22,11 +22,12 @@ import numpy as np
 
 from . import __version__
 from .baselines import KINDS, BaselineSpec, run_baseline
-from .data import (Dataset, ForgetSpec, gen_blobs, load_csv, load_dataset,
-                   make_forget_split, save_dataset)
-from .errors import DataError, UsageError
+from .data import (Dataset, ForgetSpec, SplitResult, gen_blobs, load_csv,
+                   load_dataset, make_forget_split, save_dataset)
+from .errors import SpecError, UsageError
 from .evaluate import MiaConfig, evaluate_model, mia_attack, time_stage
-from .fileio import atomic_open
+# bound under these names, which tracing wraps to time artifact I/O
+from .fileio import read_json as _read_json, write_json as _write_json
 from .model import (ModelLayout, ModelParams, TrainConfig, init_model,
                     load_model, save_model, train_ce)
 from .pipeline import (CRITERIA, ERROR_METRICS, METHOD_NAMES, UnlearnTask,
@@ -197,38 +198,16 @@ def _provenance() -> str:
            f"numpy/{np.__version__}"
 
 
-def _write_json(path, payload) -> None:
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path):
-    """Parse a run-directory JSON file; content that does not decode (a
-    file truncated by a crash, say) raises DataError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _stages_path(run_dir: Path) -> Path:
-    return run_dir / "stages.json"
-
-
-def _completed_stages(run_dir: Path) -> list:
-    path = _stages_path(run_dir)
-    if not path.exists():
-        return []
-    return _read_json(path).get("completed", [])
-
-
-def _mark_stage(run_dir: Path, stage: str) -> None:
-    done = _completed_stages(run_dir)
-    if stage not in done:
-        done.append(stage)
-    _write_json(_stages_path(run_dir), {"completed": done})
+def _completed_stages(run_dir: Path, *required) -> list:
+    """The stages ``stages.json`` lists as completed; a stage of
+    ``required`` that it does not list raises UsageError naming it."""
+    path = run_dir / "stages.json"
+    done = _read_json(path).get("completed", []) if path.exists() else []
+    for stage in required:
+        if stage not in done:
+            raise UsageError(
+                f"run at {run_dir} is incomplete: stage {stage!r} missing")
+    return done
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -252,6 +231,16 @@ def _forget_spec(cfg: ExperimentConfig) -> ForgetSpec:
         count=f.get("count"),
         seed=f.get("seed", cfg.seeds["protocol"]),
     )
+
+
+def _forget_split(cfg: ExperimentConfig, ds: Dataset) -> SplitResult:
+    """The forget split ``cfg.forget`` names in ``ds``; a spec the dataset
+    cannot meet (a class it lacks, more rows than the class has) is a
+    config error."""
+    try:
+        return make_forget_split(ds, _forget_spec(cfg))
+    except SpecError as exc:
+        raise UsageError(f"invalid config: forget: {exc}") from None
 
 
 def _master_seeds(seed: int) -> dict:
@@ -349,11 +338,11 @@ def _refine_config(cfg: ExperimentConfig, n_train: int) -> RefineConfig:
     return RefineConfig(tol=tol, max_iters=max_iters, eta=eta)
 
 
-def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
-    """Execute (or resume) one experiment and persist it under cfg.out_dir."""
+def run_experiment(cfg: ExperimentConfig) -> RunSummary:
+    """Execute (or resume) one experiment and persist it under cfg.out_dir.
+    Nothing is written until the config and its forget split are valid."""
     cfg.check()
     run_dir = Path(cfg.out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
 
     cfg_path = run_dir / "config.json"
@@ -364,19 +353,23 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
                 f"run directory {run_dir} belongs to config "
                 f"{existing.config_hash()}, not {chash}"
             )
-    else:
-        _write_json(cfg_path, cfg.to_dict())
-    done = _completed_stages(run_dir) if resume else []
+    done = _completed_stages(run_dir)
+
+    def mark(stage):
+        if stage not in done:
+            done.append(stage)
+        _write_json(run_dir / "stages.json", {"completed": done})
 
     # data
     ds_path = run_dir / "dataset"
-    if "data" in done:
-        ds = load_dataset(ds_path)
-    else:
-        ds = _build_dataset(cfg)
+    ds = load_dataset(ds_path) if "data" in done else _build_dataset(cfg)
+    split = _forget_split(cfg, ds)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    if not cfg_path.exists():
+        _write_json(cfg_path, cfg.to_dict())
+    if "data" not in done:
         save_dataset(ds, ds_path)
-        _mark_stage(run_dir, "data")
-    split = make_forget_split(ds, _forget_spec(cfg))
+        mark("data")
 
     # original model
     orig_path = run_dir / "original.ckpt"
@@ -384,8 +377,9 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
         original, _ = load_model(orig_path)
     else:
         original = _train_original(cfg, ds)
-        save_model(original, orig_path, epoch=cfg.model.get("epochs"))
-        _mark_stage(run_dir, "original")
+        save_model(original, orig_path, epoch=_train_config(
+            cfg, "model", cfg.seeds["model"], "cross-entropy").epochs)
+        mark("original")
 
     # method
     unlearned_path = run_dir / "unlearned.ckpt"
@@ -407,25 +401,19 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> RunSummary:
 
         report = _run_method(cfg, ds, split, original, write_checkpoint)
         params = report.params
-        method_record = {
-            "method": report.method,
-            "selected_epoch": report.selected_epoch,
-            "trajectory": report.trajectory,
-            "refine_summary": report.refine_summary,
-            "flags": report.flags,
-            "timings": report.timings,
-        }
+        method_record = dict(report.deterministic_fields(),
+                             timings=report.timings)
         save_model(params, unlearned_path, epoch=report.selected_epoch)
         if report.refine_result is not None:
             save_refine_result(report.refine_result, run_dir / "refined")
         _write_json(method_path, method_record)
-        _mark_stage(run_dir, "method")
+        mark("method")
 
     # evaluation
     summary = _evaluate_run(cfg, ds, split, original, params, method_record,
                             chash)
     _write_json(run_dir / "summary.json", summary.to_dict())
-    _mark_stage(run_dir, "eval")
+    mark("eval")
     return summary
 
 
@@ -471,6 +459,20 @@ def _mia_report(cfg: ExperimentConfig, ds, split, params):
         MiaConfig(repetitions=cfg.mia.get("repetitions", 5),
                   seed=cfg.seeds["protocol"]),
     )
+
+
+def attack_run(run_dir, repetitions: int):
+    """The membership-inference attack on a run's unlearned model, as
+    ``_mia_report`` makes it with ``repetitions`` repetitions, from the
+    config, dataset and checkpoint the run directory holds."""
+    run_dir = Path(run_dir)
+    cfg = ExperimentConfig.from_dict(_read_json(run_dir / "config.json"))
+    cfg.check()
+    _completed_stages(run_dir, "method")
+    cfg.mia = dict(cfg.mia, repetitions=repetitions)
+    ds = load_dataset(run_dir / "dataset")
+    params, _ = load_model(run_dir / "unlearned.ckpt")
+    return _mia_report(cfg, ds, _forget_split(cfg, ds), params)
 
 
 def _evaluate_run(cfg, ds, split, original, params, method_record,
@@ -532,6 +534,9 @@ def sweep_axis(cfg: ExperimentConfig, axis: str, values) -> list:
         raise UsageError("lambda sweeps need a ppu-bias or ppu-privacy method")
     if not values:
         raise UsageError(f"a {axis} sweep needs at least one value")
+    if not cfg.evals.get("errors", True):
+        raise UsageError("a sweep tabulates error rates, so it needs "
+                         "evals.errors true")
     try:
         values = [kind(value) for value in values]
     except ValueError as exc:
@@ -574,12 +579,7 @@ def emit_plot_data(run_dir) -> list:
     UsageError naming the missing stage when the run is incomplete.
     """
     run_dir = Path(run_dir)
-    done = _completed_stages(run_dir)
-    for stage in ("method", "eval"):
-        if stage not in done:
-            raise UsageError(
-                f"run at {run_dir} is incomplete: stage {stage!r} missing"
-            )
+    _completed_stages(run_dir, "method", "eval")
     method_record = _read_json(run_dir / "method.json")
     summary = _read_json(run_dir / "summary.json")
     written = []
@@ -608,7 +608,6 @@ def emit_plot_data(run_dir) -> list:
 def load_summary(run_dir) -> RunSummary:
     """Rebuild a RunSummary from a persisted run directory."""
     run_dir = Path(run_dir)
-    if "eval" not in _completed_stages(run_dir):
-        raise UsageError(f"run at {run_dir} has no completed eval stage")
+    _completed_stages(run_dir, "eval")
     d = _read_json(run_dir / "summary.json")
     return RunSummary(**d)

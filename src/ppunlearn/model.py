@@ -17,7 +17,6 @@ copy of the weights, so the overlap changes no result.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, LayoutError, ShapeError, UsageError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_json, write_json
 from .probmatrix import FLOOR, ProbMatrix, kl_rows
 
 _CKPT_MAGIC = b"UNLMDL01"
@@ -515,8 +514,7 @@ def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:
         "epoch": epoch,
         "error_rates": error_rates or {},
     }
-    with atomic_open(str(path) + ".json") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    write_json(str(path) + ".json", sidecar)
 
 
 def load_model(path):
@@ -550,11 +548,8 @@ def load_model(path):
     if not all(np.isfinite(t).all() for t in tensors):
         raise DataError(f"{path}: non-finite weight")
     try:
-        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        sidecar = read_json(str(path) + ".json")
     except FileNotFoundError:
         sidecar = {}
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise DataError(f"{path}.json: not valid JSON: {exc}") from exc
     params = ModelParams(layout, int(sidecar.get("seed", -1)), *tensors)
     return params, sidecar

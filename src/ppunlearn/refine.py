@@ -20,14 +20,13 @@ starting at alpha = 0 makes the first iterate equal the targets themselves
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InfeasibleProblemError, NumericalOverflowError,
                      ShapeError, UsageError)
-from .fileio import atomic_open
+from .fileio import write_json
 from .probmatrix import (FLOOR, ProbMatrix, class_mass, dump_probmatrix,
                          kl_rows)
 
@@ -300,5 +299,4 @@ def save_refine_result(result: RefineResult, prefix) -> None:
         "alpha": result.dual.alpha.tolist(),
         "eta_schedule": [[it, eta] for it, eta in result.eta_schedule],
     }
-    with atomic_open(str(prefix) + ".json") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+    write_json(str(prefix) + ".json", record)

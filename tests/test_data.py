@@ -191,3 +191,12 @@ def test_manifest_holds_no_split_lists(tmp_path):
     save_dataset(ds, tmp_path / "ds")
     manifest = json.loads((tmp_path / "ds.manifest.json").read_text())
     assert set(manifest) == {"n_classes", "provenance"}
+
+
+def test_undecodable_manifest_names_the_file(tmp_path):
+    ds = gen_blobs(3, 4, 30, 0.5, seed=9)
+    save_dataset(ds, tmp_path / "ds")
+    manifest = tmp_path / "ds.manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:9])
+    with pytest.raises(DataError, match="ds.manifest.json: not valid JSON"):
+        load_dataset(tmp_path / "ds")

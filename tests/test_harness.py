@@ -195,6 +195,41 @@ class TestRunDirectoryArtifacts:
                 assert (run_dir / "checkpoints" / (name + ext)).read_bytes() \
                     == (tmp_path / (name + ext)).read_bytes()
 
+    def test_json_records_share_one_format(self, tmp_path):
+        # every JSON record of a run directory comes from one writer:
+        # indent 2, sorted keys, one trailing newline
+        run_dir = tmp_path / "priv"
+        run_experiment(blob_config(run_dir, method="ppu-privacy"))
+        records = sorted(run_dir.rglob("*.json"))
+        assert [str(p.relative_to(run_dir)) for p in records] == [
+            "checkpoints/epoch_001.ckpt.json",
+            "checkpoints/epoch_002.ckpt.json",
+            "checkpoints/epoch_003.ckpt.json", "config.json",
+            "dataset.manifest.json", "method.json", "original.ckpt.json",
+            "refined.json", "stages.json", "summary.json",
+            "unlearned.ckpt.json"]
+        for path in records:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2,
+                                      sort_keys=True) + "\n", path.name
+
+    def test_original_sidecar_records_the_trained_epochs(self, tmp_path):
+        # a model section without "epochs" trains the default 20 epochs,
+        # and the sidecar says so
+        cfg = blob_config(tmp_path / "default", method="baseline:original")
+        cfg.model = {"hidden": 16, "lr": 0.05}
+        run_experiment(cfg)
+        explicit = blob_config(tmp_path / "explicit",
+                               method="baseline:original")
+        explicit.model = {"hidden": 16, "lr": 0.05, "epochs": 20}
+        run_experiment(explicit)
+        for name in ("original.ckpt", "original.ckpt.json"):
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "explicit" / name).read_bytes()
+        sidecar = json.loads(
+            (tmp_path / "default" / "original.ckpt.json").read_text())
+        assert sidecar["epoch"] == 20
+
     def test_zero_epoch_run_writes_no_checkpoints(self, tmp_path):
         run_dir = tmp_path / "run"
         cfg = blob_config(run_dir, method="ppu-privacy")
@@ -438,6 +473,7 @@ class TestCli:
         ("mia", {"repetitions": 0}, "mia.repetitions"),
         ("timing_repetitions", 2.0, "timing_repetitions"),
         ("timing_repetitions", 0, "timing_repetitions"),
+        ("forget", {"target_class": 0, "count": 25}, "forget.mode"),
     ])
     def test_wrong_type_config_exit_code(self, tmp_path, capsys, field,
                                          value, name):
@@ -449,6 +485,11 @@ class TestCli:
         assert main(["unlearn", "--config", str(cfg_path)]) == 2
         assert f"{name}: must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+        # mia validates a run directory's config.json the same way
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "config.json").write_text(json.dumps(d))
+        assert main(["mia", "--run-dir", str(tmp_path / "run")]) == 2
+        assert f"{name}: must be" in capsys.readouterr().err
 
     def test_sweep_field_rejected(self, tmp_path, capsys):
         # no run reads the field, so a sweep in it would be ignored silently
@@ -459,6 +500,35 @@ class TestCli:
         assert main(["unlearn", "--config", str(cfg_path)]) == 2
         assert "ppunlearn sweep" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("forget, message", [
+        ({"mode": "selective", "target_class": 7, "count": 25},
+         "target class 7 not in [0, 5)"),
+        ({"mode": "selective", "target_class": 0, "count": 500},
+         "cannot forget 500 samples: class 0 has only 88 train points"),
+    ])
+    def test_forget_spec_outside_the_dataset_exit_code(self, tmp_path, capsys,
+                                                       forget, message):
+        from ppunlearn.cli import main
+        cfg = blob_config(tmp_path / "run", forget=forget)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 2
+        assert f"forget: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, stage", [
+        ("mia", "method"), ("eval", "eval"), ("report", "eval")])
+    def test_incomplete_run_exit_code(self, tmp_path, capsys, command, stage):
+        from ppunlearn.cli import main
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "config.json").write_text(
+            json.dumps(blob_config(run_dir).to_dict()))
+        (run_dir / "stages.json").write_text(
+            json.dumps({"completed": ["data", "original"]}))
+        assert main([command, "--run-dir", str(run_dir)]) == 2
+        assert f"stage {stage!r} missing" in capsys.readouterr().err
 
     def test_runtime_exit_code(self, tmp_path):
         from ppunlearn.cli import main
@@ -552,6 +622,18 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["sweep", "--config", str(cfg_path), "--lam", "1,x"]) == 2
         assert not (tmp_path / "bad").exists()
+
+    def test_sweep_without_error_evals_exit_code(self, tmp_path, capsys):
+        # the sweep table holds error rates, which such runs do not compute
+        from ppunlearn.cli import main
+        cfg = blob_config(tmp_path / "sweep",
+                          evals={"errors": False, "mia": False})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["sweep", "--config", str(cfg_path), "--seeds",
+                     "3,4"]) == 2
+        assert "evals.errors" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_unlearn_overrides(self, tmp_path):
         from ppunlearn.cli import main
