@@ -104,14 +104,10 @@ def _cmd_mia(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .harness import (_build_dataset, _forget_split, _train_original,
-                          bench_methods)
-    cfg = _load_config(args.config)
-    cfg.check()
-    ds = _build_dataset(cfg)
-    split = _forget_split(cfg, ds)
-    original = _train_original(cfg, ds)
-    records = bench_methods(cfg, ds, split, original)
+    from .harness import bench_methods
+    plan = _load_config(args.config).check()
+    ds, split = plan.data()
+    records = bench_methods(plan, ds, split, plan.train_original(ds))
     for rec in records:
         print(f"{rec.label}: {rec.mean:.4f}s +- {rec.std_error:.4f}s "
               f"over {len(rec.samples)} runs")
@@ -146,30 +142,31 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .harness import METHODS
+    from .harness import METHODS, defaults
     from .pipeline import CRITERIA
     from .probmatrix import PseudoScheme
+    blobs, model = defaults("dataset"), defaults("model")
     p = argparse.ArgumentParser(prog="ppunlearn",
                                 description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate-data", help="synthesize a blob dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--classes", type=int, default=5)
-    g.add_argument("--dim", type=int, default=8)
-    g.add_argument("--per-class", type=int, default=125)
-    g.add_argument("--spread", type=float, default=0.6)
+    g.add_argument("--classes", type=int, default=blobs["n_classes"])
+    g.add_argument("--dim", type=int, default=blobs["dim"])
+    g.add_argument("--per-class", type=int, default=blobs["n_per_class"])
+    g.add_argument("--spread", type=float, default=blobs["spread"])
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(fn=_cmd_generate_data)
 
     t = sub.add_parser("train", help="train the original classifier")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--hidden", type=int, default=32)
+    t.add_argument("--hidden", type=int, default=model["hidden"])
     t.add_argument("--epochs", type=int, default=40)
-    t.add_argument("--lr", type=float, default=0.05)
-    t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--momentum", type=float, default=0.9)
+    t.add_argument("--lr", type=float, default=model["lr"])
+    t.add_argument("--batch-size", type=int, default=model["batch_size"])
+    t.add_argument("--momentum", type=float, default=model["momentum"])
     t.add_argument("--seed", type=int, default=1)
     t.set_defaults(fn=_cmd_train)
 

@@ -90,9 +90,9 @@ class ForgetSpec:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise SpecError(f"unknown forget mode {self.mode!r}")
-        if self.mode == "selective":
-            if self.count is None or self.count < 1:
-                raise SpecError("selective mode requires count >= 1")
+        if self.mode == "selective" and (self.count or 0) < 1:
+            raise SpecError("count: must be >= 1 in selective mode, got "
+                            f"{self.count}")
 
 
 @dataclass
@@ -141,6 +141,19 @@ def _per_class_splits(labels, n_classes, ratios):
     }
 
 
+def check_blobs(n_classes: int, dim: int, n_per_class: int,
+                spread: float) -> None:
+    """Raise SpecError naming the first size ``gen_blobs`` cannot use."""
+    if n_classes < 2:
+        raise SpecError(f"n_classes: must be >= 2, got {n_classes}")
+    if dim < 1:
+        raise SpecError(f"dim: must be >= 1, got {dim}")
+    if n_per_class < 10:
+        raise SpecError(f"n_per_class: must be >= 10, got {n_per_class}")
+    if spread <= 0:
+        raise SpecError(f"spread: must be > 0, got {spread}")
+
+
 def gen_blobs(n_classes: int, dim: int, n_per_class: int, spread: float,
               seed: int) -> Dataset:
     """Gaussian clusters around seeded random per-class means.
@@ -148,14 +161,7 @@ def gen_blobs(n_classes: int, dim: int, n_per_class: int, spread: float,
     Means are drawn uniformly from [-3, 3]^dim, points add isotropic normal
     noise scaled by ``spread``.  Split is 70/10/20 per class.
     """
-    if n_classes < 2:
-        raise SpecError(f"need at least 2 classes, got {n_classes}")
-    if dim < 1:
-        raise SpecError(f"need dim >= 1, got {dim}")
-    if n_per_class < 10:
-        raise SpecError(f"need n_per_class >= 10, got {n_per_class}")
-    if spread <= 0:
-        raise SpecError(f"spread must be positive, got {spread}")
+    check_blobs(n_classes, dim, n_per_class, spread)
     rng = np.random.default_rng(seed)
     means = rng.uniform(-3.0, 3.0, size=(n_classes, dim))
     inputs = np.concatenate([

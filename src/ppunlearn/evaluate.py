@@ -42,7 +42,8 @@ class MiaConfig:
 
     def __post_init__(self):
         if self.repetitions < 1:
-            raise UsageError("need at least one repetition")
+            raise UsageError(
+                f"repetitions: must be >= 1, got {self.repetitions}")
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Experiment orchestration: config validation and hashing, staged runs with
-resumable run directories, lambda sweeps, timing benches, and plot-data
-emission.
+"""Experiment orchestration: configs parsed into run plans and hashed,
+staged runs with resumable run directories, lambda sweeps, timing benches,
+and plot-data emission.
 
 A run directory contains: config.json, the dataset (npz + manifest), the
 original model checkpoint, method artifacts (unlearned checkpoint,
@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .baselines import KINDS, BaselineSpec, run_baseline
-from .data import (Dataset, ForgetSpec, SplitResult, gen_blobs, load_csv,
+from .data import (Dataset, ForgetSpec, check_blobs, gen_blobs, load_csv,
                    load_dataset, make_forget_split, save_dataset)
-from .errors import SpecError, UsageError
+from .errors import DataError, SpecError, UsageError
 from .evaluate import MiaConfig, evaluate_model, mia_attack, time_stage
 # bound under these names, which tracing wraps to time artifact I/O
 from .fileio import read_json as _read_json, write_json as _write_json
@@ -38,20 +38,91 @@ from .refine import RefineConfig, save_refine_result
 SCHEMA_VERSION = 1
 METHODS = tuple(METHOD_NAMES.values()) + tuple(f"baseline:{kind}"
                                                 for kind in KINDS)
-STAGES = ("data", "original", "method", "eval")
 
 
-# (section, key, least value) of the integers a run reads outside the
-# training and refine sections; an absent or null key takes its default.
-# The blob sizes' least values are the ones gen_blobs accepts.
-_INT_FIELDS = (
-    ("dataset", "n_classes", 2), ("dataset", "dim", 1),
-    ("dataset", "n_per_class", 10),
-    ("forget", "target_class", 0), ("forget", "count", 1),
-    ("forget", "seed", 0), ("scheme", "seed", 0),
-    ("seeds", "data", 0), ("seeds", "model", 0), ("seeds", "protocol", 0),
-    ("mia", "repetitions", 1),
-)
+def _is_int(x) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` in Python, but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _eta_number(x):
+    """``x``, or the number in "<number>/n" (that number over the train-row
+    count); None for a string of another form."""
+    if isinstance(x, str) and x.endswith("/n"):
+        try:
+            return float(x[:-2])
+        except ValueError:
+            return None
+    return x
+
+
+# JSON kind -> (test, what a value of that kind must be)
+_KINDS = {
+    "boolean": (lambda x: isinstance(x, bool), "true or false"),
+    "integer": (_is_int, "an integer"),
+    "seed": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+    "count": (lambda x: _is_int(x) and x >= 1, "an integer >= 1"),
+    "number": (_is_number, "a number"),
+    "positive": (lambda x: _is_number(x) and x > 0, "a positive number"),
+    "path": (lambda x: isinstance(x, str) and x != "", "a non-empty string"),
+    "eta": (lambda x: _is_number(_eta_number(x)), "a number or '<number>/n'"),
+}
+
+
+def _wrong_kind(name: str, kind, value):
+    """What is wrong with ``value`` as field ``name`` of ``kind``, a name in
+    _KINDS or a tuple of the values allowed; None if nothing is."""
+    test, rule = (_KINDS[kind] if isinstance(kind, str)
+                  else (kind.__contains__, f"one of {kind}"))
+    return None if test(value) else f"{name}: must be {rule}, not {value!r}"
+
+
+# The top-level fields besides the sections and "sweep": field -> kind.
+_TOP_LEVEL = {"method": METHODS, "out_dir": "path", "lam": "positive",
+              "selection": CRITERIA,
+              "adaptive_style": UnlearnTask.ADAPTIVE_STYLES,
+              "timing_repetitions": "count",
+              "schema_version": (SCHEMA_VERSION,)}
+
+# Every key of every config section: section -> {key: (JSON kind, default)}.
+# A key left out, or given as null, takes its default: MISSING marks a key
+# that must be given, and a (section, key) pair the value of that field, in
+# a section listed earlier.  The ranges are checked by the objects that
+# _BUILDERS makes of the sections, and by make_forget_split.
+_TRAINING = {"epochs": ("integer", 20), "lr": ("number", 0.05),
+             "batch_size": ("integer", TrainConfig.batch_size),
+             "momentum": ("number", TrainConfig.momentum)}
+FIELDS = {
+    "seeds": {"data": ("seed", MISSING), "model": ("seed", MISSING),
+              "protocol": ("seed", MISSING)},
+    "dataset": {"kind": (("blobs", "csv"), MISSING), "path": ("path", None),
+                "n_classes": ("integer", 5), "dim": ("integer", 8),
+                "n_per_class": ("integer", 125), "spread": ("number", 0.6)},
+    "forget": {"mode": (ForgetSpec.MODES, MISSING),
+               "target_class": ("integer", 0),
+               "count": ("integer", None),
+               "seed": ("seed", ("seeds", "protocol"))},
+    "scheme": {"kind": (PseudoScheme.KINDS, MISSING),
+               "seed": ("seed", ("seeds", "protocol"))},
+    "model": {"hidden": ("count", 32), **_TRAINING},
+    "finetune": _TRAINING,
+    "refine": {"tol": ("number", RefineConfig.tol),
+               "max_iters": ("integer", RefineConfig.max_iters),
+               "eta": ("eta", RefineConfig.eta)},
+    "evals": {"errors": ("boolean", True), "mia": ("boolean", False),
+              "timing": ("boolean", False)},
+    "mia": {"repetitions": ("integer", MiaConfig.repetitions)},
+}
+
+
+def defaults(section: str) -> dict:
+    """The default of every key of ``section`` (MISSING where there is
+    none)."""
+    return {key: default for key, (_, default) in FIELDS[section].items()}
 
 
 @dataclass
@@ -64,17 +135,16 @@ class ExperimentConfig:
     out_dir: str
     scheme: dict = field(default_factory=lambda: {"kind": "uniform"})
     lam: float = 1.0
-    model: dict = field(default_factory=lambda: {
-        "hidden": 32, "epochs": 40, "lr": 0.05, "batch_size": 32,
-        "momentum": 0.9})
-    finetune: dict = field(default_factory=lambda: {
-        "epochs": 20, "lr": 0.05, "batch_size": 32, "momentum": 0.9})
+    # a config without a model section trains for 40 epochs, one whose
+    # model section lacks "epochs" for 20
+    model: dict = field(
+        default_factory=lambda: dict(defaults("model"), epochs=40))
+    finetune: dict = field(default_factory=lambda: defaults("finetune"))
     refine: dict = field(default_factory=dict)   # RefineConfig overrides
     selection: str = "forget-error-proxy"
     adaptive_style: str = "bias"
-    evals: dict = field(default_factory=lambda: {
-        "errors": True, "mia": False, "timing": False})
-    mia: dict = field(default_factory=lambda: {"repetitions": 5})
+    evals: dict = field(default_factory=lambda: defaults("evals"))
+    mia: dict = field(default_factory=lambda: defaults("mia"))
     timing_repetitions: int = 5
     sweep: dict | None = None       # {"lam": [...]} | {"seed": [...]}
     seeds: dict = field(default_factory=lambda: {
@@ -82,64 +152,8 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def validate(self) -> list:
-        """All offending fields, not just the first."""
-        # the checks below read inside these sections, so report them alone
-        problems = [f"{f.name}: must be a JSON object" for f in fields(self)
-                    if f.type == "dict"
-                    and not isinstance(getattr(self, f.name), dict)]
-        if problems:
-            return problems
-        if self.schema_version != SCHEMA_VERSION:
-            problems.append(f"schema_version: expected {SCHEMA_VERSION}")
-        if self.method not in METHODS:
-            problems.append(f"method: {self.method!r} not one of {METHODS}")
-        if self.dataset.get("kind") not in ("blobs", "csv"):
-            problems.append("dataset.kind: must be 'blobs' or 'csv'")
-        if self.dataset.get("kind") == "csv" and not self.dataset.get("path"):
-            problems.append("dataset.path: required for csv datasets")
-        if self.forget.get("mode") not in ForgetSpec.MODES:
-            problems.append(f"forget.mode: must be {_one_of(ForgetSpec.MODES)}")
-        if self.scheme.get("kind") not in PseudoScheme.KINDS:
-            problems.append(f"scheme.kind: must be {_one_of(PseudoScheme.KINDS)}")
-        if not (_is_number(self.lam) and self.lam > 0):
-            problems.append("lam: must be a positive number")
-        if self.selection not in CRITERIA:
-            problems.append(f"selection: unknown criterion {self.selection!r}")
-        if self.adaptive_style not in UnlearnTask.ADAPTIVE_STYLES:
-            problems.append("adaptive_style: must be "
-                            f"{_one_of(UnlearnTask.ADAPTIVE_STYLES)}")
-        for check in (lambda: _train_config(self, "model", 0, "kl"),
-                      lambda: _train_config(self, "finetune", 0, "kl"),
-                      lambda: _refine_config(self, 1)):
-            try:
-                check()
-            except UsageError as exc:
-                problems.append(str(exc))
-        if self.sweep is not None:
-            problems.append("sweep: a run does not read it; run the sweep "
-                            "with `ppunlearn sweep --lam` or `--seeds`")
-        for name in ("data", "model", "protocol"):
-            if name not in self.seeds:
-                problems.append(f"seeds.{name}: required")
-        if self.forget.get("mode") == "selective" and (
-                self.forget.get("count") is None):
-            problems.append("forget.count: must be given in selective mode")
-        for section, key, least in _INT_FIELDS:
-            value = getattr(self, section).get(key)
-            if value is not None and not (_is_int(value) and value >= least):
-                problems.append(f"{section}.{key}: must be an integer >= "
-                                f"{least}, not {value!r}")
-        spread = self.dataset.get("spread")
-        if spread is not None and not (_is_number(spread) and spread > 0):
-            problems.append("dataset.spread: must be a positive number, "
-                            f"not {spread!r}")
-        if not (_is_int(self.timing_repetitions)
-                and self.timing_repetitions >= 1):
-            problems.append("timing_repetitions: must be an integer >= 1, "
-                            f"not {self.timing_repetitions!r}")
-        if not self.out_dir:
-            problems.append("out_dir: required")
-        return problems
+        """Every problem of the config, not just the first."""
+        return _parse(self)[1]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -158,11 +172,13 @@ class ExperimentConfig:
             raise UsageError(f"missing config fields: {missing}")
         return cls(**d)
 
-    def check(self) -> None:
-        """Raise UsageError listing every problem ``validate`` finds."""
-        problems = self.validate()
+    def check(self) -> "RunPlan":
+        """The run this config describes; UsageError listing every problem
+        ``validate`` finds if it is not valid."""
+        plan, problems = _parse(self)
         if problems:
             raise UsageError("invalid config: " + "; ".join(problems))
+        return plan
 
     def config_hash(self) -> str:
         """Stable under field reordering: canonical JSON, sorted keys.
@@ -189,8 +205,125 @@ class RunSummary:
         return asdict(self)
 
 
-def _one_of(names) -> str:
-    return " or ".join(repr(name) for name in names)
+@dataclass(frozen=True)
+class RunPlan:
+    """A valid config parsed into the objects its stages use."""
+
+    config: ExperimentConfig
+    dataset: tuple          # ("blobs" or "csv", the loader's arguments)
+    forget: ForgetSpec
+    scheme: PseudoScheme
+    hidden: int
+    model: TrainConfig      # the original's budget: CE loss, model seed
+    finetune: TrainConfig   # the fine-tune budget: KL loss, protocol seed
+    refine: RefineConfig    # see ``refine_config`` for its ``eta``
+    eta_per_row: bool       # refine.eta was "<number>/n"
+    mia: MiaConfig
+    evals: dict             # {"errors": bool, "mia": bool, "timing": bool}
+
+    def data(self, ds: Dataset | None = None) -> tuple:
+        """(``ds``, its forget split); ``ds`` defaults to the dataset the
+        config names.  A forget spec the dataset cannot meet (a class it
+        lacks, more rows than the class has) is a config error."""
+        if ds is None:
+            kind, args = self.dataset
+            ds = gen_blobs(**args) if kind == "blobs" else load_csv(**args)
+        try:
+            return ds, make_forget_split(ds, self.forget)
+        except SpecError as exc:
+            raise UsageError(f"invalid config: forget: {exc}") from None
+
+    def train_original(self, ds: Dataset) -> ModelParams:
+        """The original model, trained on the train split; its ``layout``
+        is the one every method of the run uses."""
+        layout = ModelLayout(ds.dim, self.hidden, ds.n_classes)
+        return train_ce(init_model(layout, seed=self.model.seed),
+                        *ds.split_arrays("train"), self.model)
+
+    def refine_config(self, n_train: int) -> RefineConfig:
+        """The refine settings for a train split of ``n_train`` rows."""
+        if self.eta_per_row:
+            return replace(self.refine, eta=self.refine.eta / n_train)
+        return self.refine
+
+    def baseline(self, kind: str) -> BaselineSpec:
+        """Retrain gets the original's training budget; the other
+        baselines get the fine-tune budget, with the model seed and the
+        cross-entropy loss."""
+        return BaselineSpec(kind, self.model if kind == "retrain" else replace(
+            self.finetune, seed=self.model.seed, loss=self.model.loss))
+
+
+def _dataset_recipe(spec: dict, seeds: dict) -> tuple:
+    if spec["kind"] == "csv":
+        if spec["path"] is None:
+            raise UsageError("path: must be given for a csv dataset")
+        return "csv", {"path": spec["path"]}
+    sizes = {key: spec[key]
+             for key in ("n_classes", "dim", "n_per_class", "spread")}
+    check_blobs(**sizes)
+    return "blobs", dict(sizes, seed=seeds["data"])
+
+
+# section -> what it builds from its values and the seeds: a RunPlan field
+_BUILDERS = {
+    "dataset": _dataset_recipe,
+    "forget": lambda f, seeds: ForgetSpec(**f),
+    "scheme": lambda s, seeds: PseudoScheme(
+        s["kind"], None if s["kind"] == "uniform" else s["seed"]),
+    "model": lambda m, seeds: TrainConfig(
+        **{key: m[key] for key in _TRAINING}, seed=seeds["model"],
+        loss="cross-entropy"),
+    "finetune": lambda f, seeds: TrainConfig(**f, seed=seeds["protocol"],
+                                             loss="kl"),
+    "refine": lambda r, seeds: RefineConfig(
+        **dict(r, eta=_eta_number(r["eta"]))),
+    "mia": lambda m, seeds: MiaConfig(**m, seed=seeds["protocol"]),
+    "evals": lambda e, seeds: e,
+}
+
+
+def _parse(cfg: ExperimentConfig) -> tuple:
+    """(the RunPlan, []) for a valid ``cfg``, else (None, every problem)."""
+    problems = [_wrong_kind(name, kind, getattr(cfg, name))
+                for name, kind in _TOP_LEVEL.items()]
+    if cfg.sweep is not None:
+        problems.append("sweep: must be null, as a run does not read it; "
+                        "run the sweep with `ppunlearn sweep --lam` or "
+                        "`--seeds`")
+    values, found = {}, []
+    for section, keys in FIELDS.items():
+        given = getattr(cfg, section)
+        if not isinstance(given, dict):
+            found.append(f"{section}: must be a JSON object")
+            continue
+        found += [f"{section}.{key}: must be one of the keys {list(keys)}"
+                  for key in given if key not in keys]
+        values[section] = {}
+        for key, (kind, default) in keys.items():
+            value = given.get(key)
+            if value is None and default is MISSING:
+                found.append(f"{section}.{key}: must be given")
+            elif value is None:
+                value = (values.get(default[0], {}).get(default[1])
+                         if isinstance(default, tuple) else default)
+            else:
+                found.append(_wrong_kind(f"{section}.{key}", kind, value))
+            values[section][key] = value
+    found = [problem for problem in found if problem]
+    problems = [problem for problem in problems if problem] + found
+    built = {}
+    if not found:   # the objects check the ranges of values of their kind
+        for section, build in _BUILDERS.items():
+            try:
+                built[section] = build(values[section], values["seeds"])
+            except (UsageError, SpecError) as exc:
+                problems.append(f"{section}.{exc}")
+    if problems:
+        return None, problems
+    return RunPlan(cfg, hidden=values["model"]["hidden"],
+                   eta_per_row=isinstance(values["refine"]["eta"], str),
+                   **built), []
 
 
 def _provenance() -> str:
@@ -198,11 +331,23 @@ def _provenance() -> str:
            f"numpy/{np.__version__}"
 
 
+def _read_record(path):
+    """A run-directory JSON record; one that is not a JSON object raises
+    DataError naming the file."""
+    record = _read_json(path)
+    if not isinstance(record, dict):
+        raise DataError(f"{path}: must hold a JSON object, not "
+                        f"{type(record).__name__}")
+    return record
+
+
 def _completed_stages(run_dir: Path, *required) -> list:
     """The stages ``stages.json`` lists as completed; a stage of
     ``required`` that it does not list raises UsageError naming it."""
     path = run_dir / "stages.json"
-    done = _read_json(path).get("completed", []) if path.exists() else []
+    done = _read_record(path).get("completed", []) if path.exists() else []
+    if not isinstance(done, list):
+        raise DataError(f"{path}: 'completed' must be a list")
     for stage in required:
         if stage not in done:
             raise UsageError(
@@ -210,149 +355,25 @@ def _completed_stages(run_dir: Path, *required) -> list:
     return done
 
 
-def _build_dataset(cfg: ExperimentConfig) -> Dataset:
-    spec = cfg.dataset
-    if spec["kind"] == "blobs":
-        return gen_blobs(
-            n_classes=spec.get("n_classes", 5),
-            dim=spec.get("dim", 8),
-            n_per_class=spec.get("n_per_class", 125),
-            spread=spec.get("spread", 0.6),
-            seed=cfg.seeds["data"],
-        )
-    return load_csv(spec["path"])
-
-
-def _forget_spec(cfg: ExperimentConfig) -> ForgetSpec:
-    f = cfg.forget
-    return ForgetSpec(
-        mode=f["mode"],
-        target_class=f.get("target_class", 0),
-        count=f.get("count"),
-        seed=f.get("seed", cfg.seeds["protocol"]),
-    )
-
-
-def _forget_split(cfg: ExperimentConfig, ds: Dataset) -> SplitResult:
-    """The forget split ``cfg.forget`` names in ``ds``; a spec the dataset
-    cannot meet (a class it lacks, more rows than the class has) is a
-    config error."""
-    try:
-        return make_forget_split(ds, _forget_spec(cfg))
-    except SpecError as exc:
-        raise UsageError(f"invalid config: forget: {exc}") from None
-
-
 def _master_seeds(seed: int) -> dict:
     """The data, model and protocol seeds one master seed stands for."""
     return {"data": seed, "model": seed + 1, "protocol": seed + 2}
 
 
-def _is_int(x) -> bool:
-    """A JSON integer: ``bool`` is an ``int`` in Python, but not here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
-
-
-def _train_config(cfg: ExperimentConfig, name: str, seed: int,
-                  loss: str) -> TrainConfig:
-    """``cfg.<name>``, the "model" or "finetune" section, as a TrainConfig.
-    Its counts (and the model's ``hidden`` width, at least 1) must be
-    integers, and its rates numbers; TrainConfig's range errors are
-    reported under the section name."""
-    section = getattr(cfg, name)
-    wrong = [f"{name}.{key}: must be an integer, not {section[key]!r}"
-             for key in ("hidden", "epochs", "batch_size")
-             if key in section and not _is_int(section[key])]
-    wrong += [f"{name}.{key}: must be a number, not {section[key]!r}"
-              for key in ("lr", "momentum")
-              if key in section and not _is_number(section[key])]
-    hidden = section.get("hidden", 1)
-    if _is_int(hidden) and hidden < 1:
-        wrong.append(f"{name}.hidden: must be >= 1, got {hidden}")
-    if wrong:
-        raise UsageError("; ".join(wrong))
-    try:
-        return TrainConfig(
-            lr=section.get("lr", 0.05),
-            epochs=section.get("epochs", 20),
-            batch_size=section.get("batch_size", 32),
-            momentum=section.get("momentum", 0.9),
-            seed=seed,
-            loss=loss,
-        )
-    except UsageError as exc:
-        raise UsageError(f"{name}.{exc}") from None
-
-
-def _train_original(cfg: ExperimentConfig, ds: Dataset) -> ModelParams:
-    """The original model that ``cfg.model`` describes, trained on the
-    train split; its ``layout`` is the one every method of the run uses."""
-    layout = ModelLayout(ds.dim, cfg.model.get("hidden", 32), ds.n_classes)
-    return train_ce(
-        init_model(layout, seed=cfg.seeds["model"]),
-        *ds.split_arrays("train"),
-        _train_config(cfg, "model", cfg.seeds["model"], "cross-entropy"),
-    )
-
-
-def _baseline_spec(cfg: ExperimentConfig, kind: str) -> BaselineSpec:
-    """Retrain gets the original's training budget (``cfg.model``); the
-    other baselines get the fine-tune budget."""
-    section = "model" if kind == "retrain" else "finetune"
-    return BaselineSpec(kind=kind, train=_train_config(
-        cfg, section, cfg.seeds["model"], "cross-entropy"))
-
-
-def _scheme(cfg: ExperimentConfig) -> PseudoScheme:
-    kind = cfg.scheme.get("kind", "uniform")
-    if kind == "uniform":
-        return PseudoScheme("uniform")
-    return PseudoScheme(kind, seed=cfg.scheme.get("seed",
-                                                  cfg.seeds["protocol"]))
-
-
-def _refine_config(cfg: ExperimentConfig, n_train: int) -> RefineConfig:
-    """``cfg.refine`` as a RefineConfig.  ``eta`` is a positive number, or
-    "<positive number>/n" for that number over the train-row count."""
-    r = cfg.refine
-    eta = r.get("eta")
-    if isinstance(eta, str) and eta.endswith("/n"):
-        try:
-            eta = float(eta[:-2]) / n_train
-        except ValueError:
-            pass
-    if eta is not None and not (_is_number(eta) and eta > 0):
-        raise UsageError("refine.eta: must be a positive number or "
-                         f"'<positive number>/n', not {r['eta']!r}")
-    tol, max_iters = r.get("tol", 1e-6), r.get("max_iters", 10_000)
-    if not (_is_number(tol) and tol > 0):
-        raise UsageError(f"refine.tol: must be a positive number, not {tol!r}")
-    # RefineConfig rejects an integer below 1
-    if not _is_int(max_iters):
-        raise UsageError(
-            f"refine.max_iters: must be an integer, not {max_iters!r}")
-    return RefineConfig(tol=tol, max_iters=max_iters, eta=eta)
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Execute (or resume) one experiment and persist it under cfg.out_dir.
     Nothing is written until the config and its forget split are valid."""
-    cfg.check()
+    plan = cfg.check()
     run_dir = Path(cfg.out_dir)
     chash = cfg.config_hash()
 
     cfg_path = run_dir / "config.json"
     if cfg_path.exists():
-        existing = ExperimentConfig.from_dict(_read_json(cfg_path))
-        if existing.config_hash() != chash:
-            raise UsageError(
-                f"run directory {run_dir} belongs to config "
-                f"{existing.config_hash()}, not {chash}"
-            )
+        existing = ExperimentConfig.from_dict(
+            _read_json(cfg_path)).config_hash()
+        if existing != chash:
+            raise UsageError(f"run directory {run_dir} belongs to config "
+                             f"{existing}, not {chash}")
     done = _completed_stages(run_dir)
 
     def mark(stage):
@@ -362,8 +383,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
 
     # data
     ds_path = run_dir / "dataset"
-    ds = load_dataset(ds_path) if "data" in done else _build_dataset(cfg)
-    split = _forget_split(cfg, ds)
+    ds, split = plan.data(load_dataset(ds_path) if "data" in done else None)
     run_dir.mkdir(parents=True, exist_ok=True)
     if not cfg_path.exists():
         _write_json(cfg_path, cfg.to_dict())
@@ -376,9 +396,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     if "original" in done and orig_path.exists():
         original, _ = load_model(orig_path)
     else:
-        original = _train_original(cfg, ds)
-        save_model(original, orig_path, epoch=_train_config(
-            cfg, "model", cfg.seeds["model"], "cross-entropy").epochs)
+        original = plan.train_original(ds)
+        save_model(original, orig_path, epoch=plan.model.epochs)
         mark("original")
 
     # method
@@ -386,7 +405,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     method_path = run_dir / "method.json"
     if "method" in done and unlearned_path.exists():
         params, _ = load_model(unlearned_path)
-        method_record = _read_json(method_path)
+        method_record = _read_record(method_path)
     else:
         ckpt_dir = run_dir / "checkpoints"
 
@@ -399,7 +418,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
                        error_rates={k: entry.metrics[k]
                                     for k in ERROR_METRICS})
 
-        report = _run_method(cfg, ds, split, original, write_checkpoint)
+        report = _run_method(plan, cfg.method, ds, split, original,
+                             write_checkpoint)
         params = report.params
         method_record = dict(report.deterministic_fields(),
                              timings=report.timings)
@@ -410,30 +430,29 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         mark("method")
 
     # evaluation
-    summary = _evaluate_run(cfg, ds, split, original, params, method_record,
+    summary = _evaluate_run(plan, ds, split, original, params, method_record,
                             chash)
     _write_json(run_dir / "summary.json", summary.to_dict())
     mark("eval")
     return summary
 
 
-def _run_method(cfg, ds, split, original, on_checkpoint=None):
-    """Run ``cfg.method``; a PPU method hands each fine-tuning checkpoint
-    to ``on_checkpoint`` as it completes."""
-    if cfg.method.startswith("baseline:"):
-        spec = _baseline_spec(cfg, cfg.method.split(":", 1)[1])
-        return run_baseline(spec, ds, split, original=original)
+def _run_method(plan, method, ds, split, original, on_checkpoint=None):
+    """Run ``method`` as ``plan`` configures it; a PPU method hands each
+    fine-tuning checkpoint to ``on_checkpoint`` as it completes."""
+    if method.startswith("baseline:"):
+        return run_baseline(plan.baseline(method.split(":", 1)[1]), ds, split,
+                            original=original)
 
-    n_train = len(ds.splits["train"])
+    cfg = plan.config
     task = UnlearnTask(
         dataset=ds,
         split=split,
-        mode={name: mode for mode, name in METHOD_NAMES.items()}[cfg.method],
-        scheme=_scheme(cfg),
-        finetune=_train_config(cfg, "finetune", cfg.seeds["protocol"],
-                               "kl"),
+        mode={name: mode for mode, name in METHOD_NAMES.items()}[method],
+        scheme=plan.scheme,
+        finetune=plan.finetune,
         lam=cfg.lam,
-        refine_cfg=_refine_config(cfg, n_train),
+        refine_cfg=plan.refine_config(len(ds.splits["train"])),
         selection=cfg.selection,
         adaptive_style=cfg.adaptive_style,
     )
@@ -444,21 +463,16 @@ def _run_method(cfg, ds, split, original, on_checkpoint=None):
     if task.mode == "privacy":
         return ppu_privacy(original, task, on_checkpoint)
     # Adaptive runs after the finetune baseline by default.
-    predecessor = run_baseline(_baseline_spec(cfg, "finetune"), ds, split,
+    predecessor = run_baseline(plan.baseline("finetune"), ds, split,
                                original=original)
     return adaptive_post(predecessor.params, task, on_checkpoint)
 
 
-def _mia_report(cfg: ExperimentConfig, ds, split, params):
-    """The membership-inference attack on ``params`` that ``cfg.mia``
-    configures: forget rows against the test split."""
-    return mia_attack(
-        params,
-        ds.arrays_at(split.forget_idx),
-        ds.split_arrays("test"),
-        MiaConfig(repetitions=cfg.mia.get("repetitions", 5),
-                  seed=cfg.seeds["protocol"]),
-    )
+def _mia_report(mia: MiaConfig, ds, split, params):
+    """The membership-inference attack on ``params``: forget rows against
+    the test split."""
+    return mia_attack(params, ds.arrays_at(split.forget_idx),
+                      ds.split_arrays("test"), mia)
 
 
 def attack_run(run_dir, repetitions: int):
@@ -466,33 +480,27 @@ def attack_run(run_dir, repetitions: int):
     ``_mia_report`` makes it with ``repetitions`` repetitions, from the
     config, dataset and checkpoint the run directory holds."""
     run_dir = Path(run_dir)
-    cfg = ExperimentConfig.from_dict(_read_json(run_dir / "config.json"))
-    cfg.check()
+    plan = ExperimentConfig.from_dict(
+        _read_json(run_dir / "config.json")).check()
     _completed_stages(run_dir, "method")
-    cfg.mia = dict(cfg.mia, repetitions=repetitions)
-    ds = load_dataset(run_dir / "dataset")
+    ds, split = plan.data(load_dataset(run_dir / "dataset"))
     params, _ = load_model(run_dir / "unlearned.ckpt")
-    return _mia_report(cfg, ds, _forget_split(cfg, ds), params)
+    return _mia_report(replace(plan.mia, repetitions=repetitions), ds, split,
+                       params)
 
 
-def _evaluate_run(cfg, ds, split, original, params, method_record,
+def _evaluate_run(plan, ds, split, original, params, method_record,
                   chash) -> RunSummary:
-    eval_report = None
-    mia_report = None
-    timings = []
-    if cfg.evals.get("errors", True):
-        eval_report = asdict(evaluate_model(params, ds, split))
-    if cfg.evals.get("mia", False):
-        mia_report = asdict(_mia_report(cfg, ds, split, params))
-    if cfg.evals.get("timing", False):
-        timings = [asdict(t) for t in bench_methods(cfg, ds, split,
-                                                    original)]
+    evals = plan.evals
     return RunSummary(
         config_hash=chash,
-        method=cfg.method,
-        eval_report=eval_report,
-        mia_report=mia_report,
-        timings=timings,
+        method=plan.config.method,
+        eval_report=(asdict(evaluate_model(params, ds, split))
+                     if evals["errors"] else None),
+        mia_report=(asdict(_mia_report(plan.mia, ds, split, params))
+                    if evals["mia"] else None),
+        timings=([asdict(t) for t in bench_methods(plan, ds, split, original)]
+                 if evals["timing"] else []),
         refine_diagnostics=method_record.get("refine_summary"),
         selected_epoch=method_record.get("selected_epoch"),
         flags=method_record.get("flags", {}),
@@ -500,27 +508,31 @@ def _evaluate_run(cfg, ds, split, original, params, method_record,
     )
 
 
-def bench_methods(cfg: ExperimentConfig, ds, split, original):
+def bench_methods(plan: RunPlan, ds, split, original):
     """Warm-up once, then time the configured method against the Retrain
     and Finetune baselines, each run as ``run_experiment`` runs it.
 
-    Retrain gets the original training budget (cfg.model); the unlearning
-    method and the finetune baseline run with the fine-tune budget.
+    Retrain gets the original training budget (the model section); the
+    unlearning method and the finetune baseline run with the fine-tune
+    budget.
     """
     records = []
-    for method in (cfg.method, "baseline:retrain", "baseline:finetune"):
-        thunk = functools.partial(_run_method, replace(cfg, method=method),
-                                  ds, split, original)
+    for method in (plan.config.method, "baseline:retrain",
+                   "baseline:finetune"):
+        thunk = functools.partial(_run_method, plan, method, ds, split,
+                                  original)
         thunk()  # warm-up excluded from the timings
-        records.append(time_stage(method, thunk,
-                                  repetitions=cfg.timing_repetitions))
+        records.append(time_stage(
+            method, thunk, repetitions=plan.config.timing_repetitions))
     return records
 
 
 # sweep axis -> (value type, CSV file, value format in the CSV and in the
-# child directory names)
-SWEEP_AXES = {"lam": (float, "sweep_lambda.csv", ".10g", "g"),
-              "seed": (int, "sweep_seeds.csv", "d", "d")}
+# child directory names, the config fields a value sets)
+SWEEP_AXES = {
+    "lam": (float, "sweep_lambda.csv", ".10g", "g", lambda v: {"lam": v}),
+    "seed": (int, "sweep_seeds.csv", "d", "d",
+             lambda v: {"seeds": _master_seeds(v)})}
 
 
 def sweep_axis(cfg: ExperimentConfig, axis: str, values) -> list:
@@ -529,36 +541,34 @@ def sweep_axis(cfg: ExperimentConfig, axis: str, values) -> list:
     data, model and protocol seeds derive).  Each child run gets its own
     directory under cfg.out_dir.  Returns [(value, retain_error,
     forget_error), ...] and persists it as CSV."""
-    kind, csv_name, csv_format, dir_format = SWEEP_AXES[axis]
+    kind, csv_name, csv_format, dir_format, sets = SWEEP_AXES[axis]
     if axis == "lam" and cfg.method not in ("ppu-bias", "ppu-privacy"):
         raise UsageError("lambda sweeps need a ppu-bias or ppu-privacy method")
     if not values:
         raise UsageError(f"a {axis} sweep needs at least one value")
-    if not cfg.evals.get("errors", True):
-        raise UsageError("a sweep tabulates error rates, so it needs "
-                         "evals.errors true")
     try:
         values = [kind(value) for value in values]
     except ValueError as exc:
         raise UsageError(f"{axis} sweep: {exc}") from exc
-    rows = []
     parent = Path(cfg.out_dir)
+    children = [replace(cfg, sweep=None, **sets(value), out_dir=str(
+        parent / f"{axis}_{value:{dir_format}}")) for value in values]
+    # nothing is written until every child is valid; the children share
+    # the forget spec and the class sizes, so one split shows that it fits
+    plan = [child.check() for child in children][0]
+    if not plan.evals["errors"]:
+        raise UsageError("a sweep tabulates error rates, so it needs "
+                         "evals.errors true")
+    plan.data()
     parent.mkdir(parents=True, exist_ok=True)
-    for value in values:
-        child = replace(cfg, sweep=None,
-                        out_dir=str(parent / f"{axis}_{value:{dir_format}}"))
-        if axis == "lam":
-            child.lam = value
-        else:
-            child.seeds = _master_seeds(value)
+    rows = []
+    for value, child in zip(values, children):
         summary = run_experiment(child)
         rows.append((value,
                      summary.eval_report["retain_error"],
                      summary.eval_report["forget_error"]))
-    with open(parent / csv_name, "w", encoding="utf-8") as fh:
-        fh.write(f"{axis},retain_error,forget_error\n")
-        for value, r, f in rows:
-            fh.write(f"{value:{csv_format}},{r:.10g},{f:.10g}\n")
+    _write_csv(parent / csv_name, f"{axis},retain_error,forget_error",
+               [f"{v:{csv_format}},{r:.10g},{f:.10g}" for v, r, f in rows])
     return rows
 
 
@@ -572,6 +582,13 @@ def sweep_seeds(cfg: ExperimentConfig, seeds) -> list:
     return sweep_axis(cfg, "seed", seeds)
 
 
+def _write_csv(path, header: str, lines) -> Path:
+    """Write ``header`` and then each of ``lines`` as a CSV row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{line}\n" for line in (header, *lines))
+    return path
+
+
 def emit_plot_data(run_dir) -> list:
     """Write CSV series for the per-epoch error curves and timing records.
 
@@ -580,28 +597,17 @@ def emit_plot_data(run_dir) -> list:
     """
     run_dir = Path(run_dir)
     _completed_stages(run_dir, "method", "eval")
-    method_record = _read_json(run_dir / "method.json")
-    summary = _read_json(run_dir / "summary.json")
-    written = []
-
-    trajectory = method_record.get("trajectory", [])
-    for metric in ("forget", "retain"):
-        path = run_dir / f"plot_{metric}_error.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"epoch,{metric}_error\n")
-            for entry in trajectory:
-                fh.write(f"{entry['epoch']},{entry[metric]:.10g}\n")
-        written.append(path)
-
-    timings = summary.get("timings") or []
+    trajectory = _read_record(run_dir / "method.json").get("trajectory", [])
+    written = [_write_csv(run_dir / f"plot_{metric}_error.csv",
+                          f"epoch,{metric}_error",
+                          [f"{e['epoch']},{e[metric]:.10g}" for e in trajectory])
+               for metric in ("forget", "retain")]
+    timings = load_summary(run_dir).timings
     if timings:
-        path = run_dir / "plot_timing.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("method,mean_seconds,std_error\n")
-            for rec in timings:
-                fh.write(f"{rec['label']},{rec['mean']:.10g},"
-                         f"{rec['std_error']:.10g}\n")
-        written.append(path)
+        written.append(_write_csv(
+            run_dir / "plot_timing.csv", "method,mean_seconds,std_error",
+            [f"{r['label']},{r['mean']:.10g},{r['std_error']:.10g}"
+             for r in timings]))
     return written
 
 
@@ -609,5 +615,9 @@ def load_summary(run_dir) -> RunSummary:
     """Rebuild a RunSummary from a persisted run directory."""
     run_dir = Path(run_dir)
     _completed_stages(run_dir, "eval")
-    d = _read_json(run_dir / "summary.json")
-    return RunSummary(**d)
+    path = run_dir / "summary.json"
+    record = _read_record(path)
+    if set(record) != {f.name for f in fields(RunSummary)}:
+        raise DataError(f"{path}: keys {sorted(record)} are not a run "
+                        "summary's")
+    return RunSummary(**record)

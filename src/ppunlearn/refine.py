@@ -97,9 +97,13 @@ class RefineConfig:
     warm_start: ProbMatrix | None = None
 
     def __post_init__(self):
+        if not self.tol > 0:
+            raise UsageError(f"tol: must be > 0, got {self.tol}")
         if self.max_iters < 1:
-            raise UsageError(
-                f"refinement needs max_iters >= 1, got {self.max_iters}")
+            raise UsageError("max_iters: must be >= 1 (refinement needs "
+                             f"max_iters >= 1, got {self.max_iters})")
+        if self.eta is not None and not self.eta > 0:
+            raise UsageError(f"eta: must be > 0, got {self.eta}")
 
 
 @dataclass

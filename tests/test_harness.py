@@ -1,16 +1,23 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ppunlearn
+from ppunlearn.data import ForgetSpec
 from ppunlearn.errors import UsageError
-from ppunlearn.harness import (ExperimentConfig, emit_plot_data, load_summary,
-                               run_experiment, sweep_lambda)
+from ppunlearn.evaluate import MiaConfig
+from ppunlearn.harness import (FIELDS, ExperimentConfig, emit_plot_data,
+                               load_summary, run_experiment, sweep_lambda)
+from ppunlearn.model import TrainConfig
+from ppunlearn.probmatrix import PseudoScheme
+from ppunlearn.refine import RefineConfig
 
 
 def blob_config(out_dir, method="ppu-bias", **overrides):
@@ -65,6 +72,56 @@ class TestConfig:
         with pytest.raises(UsageError):
             ExperimentConfig.from_dict({"bogus": 1})
 
+    def test_every_default(self, tmp_path):
+        # only the required keys: every other value is a section default
+        plan = ExperimentConfig.from_dict({
+            "dataset": {"kind": "blobs"}, "forget": {"mode": "class"},
+            "method": "ppu-privacy", "out_dir": str(tmp_path),
+            "scheme": {"kind": "random-softmax"}, "model": {},
+            "finetune": {}, "refine": {}, "evals": {}, "mia": {},
+            "seeds": {"data": 3, "model": 4, "protocol": 5}}).check()
+        assert plan.model == TrainConfig(0.05, 20, 32, 0.9, seed=4,
+                                         loss="cross-entropy")
+        assert plan.finetune == TrainConfig(0.05, 20, 32, 0.9, seed=5,
+                                            loss="kl")
+        assert plan.hidden == 32
+        assert plan.refine_config(100) == RefineConfig(1e-6, 10_000,
+                                                       eta=None)
+        assert plan.mia == MiaConfig(5, seed=5)
+        assert plan.forget == ForgetSpec("class", target_class=0, seed=5)
+        assert plan.scheme == PseudoScheme("random-softmax", seed=5)
+        assert plan.dataset == ("blobs", {"n_classes": 5, "dim": 8,
+                                          "n_per_class": 125, "spread": 0.6,
+                                          "seed": 3})
+        assert plan.evals == {"errors": True, "mia": False, "timing": False}
+
+    def test_eta_per_train_row(self, tmp_path):
+        plan = blob_config(tmp_path, refine={"eta": "4.0/n"}).check()
+        assert plan.refine_config(400).eta == 4.0 / 400
+
+    def test_readme_documents_the_config(self):
+        # the README's minimal config is valid, and its field reference
+        # lists exactly the keys the parse reads, with their numeric and
+        # boolean defaults
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        minimal = readme.split("A minimal config:")[1]
+        minimal = minimal.split("```json")[1].split("```")[0]
+        ExperimentConfig.from_dict(json.loads(minimal)).check()
+        reference = readme.split("### Config reference")[1].split("\n\n#")[0]
+        documented = set()
+        for row in reference.splitlines():
+            if row.startswith("| `"):
+                cells = [cell.strip(" `") for cell in row.split("|")]
+                for section, key in re.findall(r"`(\w+)\.(\w+)`",
+                                               row.split("|")[1]):
+                    documented.add((section, key))
+                    if re.fullmatch(r"[-\d.e]+|true|false", cells[4]):
+                        assert FIELDS[section][key][1] == json.loads(
+                            cells[4]), (section, key)
+        assert documented == {(section, key)
+                              for section, keys in FIELDS.items()
+                              for key in keys}
+
 
 class TestRunExperiment:
     def test_run_and_reproduce(self, tmp_path):
@@ -108,6 +165,19 @@ class TestRunExperiment:
         run_experiment(blob_config(run_dir))
         with pytest.raises(UsageError):
             run_experiment(blob_config(run_dir, lam=3.0))
+
+    def test_csv_dataset(self, tmp_path):
+        # a csv dataset runs as the blobs it holds
+        from ppunlearn.data import gen_blobs
+        ds = gen_blobs(5, 8, 125, 0.6, seed=3)
+        path = tmp_path / "blobs.csv"
+        path.write_text("".join(
+            ",".join(map(repr, row)) + f",{label}\n"
+            for row, label in zip(ds.inputs.tolist(), ds.labels.tolist())))
+        from_csv = run_experiment(blob_config(
+            tmp_path / "csv", dataset={"kind": "csv", "path": str(path)}))
+        from_blobs = run_experiment(blob_config(tmp_path / "blobs"))
+        assert from_csv.eval_report == from_blobs.eval_report
 
     def test_baseline_methods(self, tmp_path):
         for kind in ("original", "retrain", "finetune"):
@@ -253,7 +323,7 @@ class TestRunDirectoryArtifacts:
 
     def test_bench_leaves_run_directory_untouched(self, tmp_path):
         from ppunlearn.data import load_dataset, make_forget_split
-        from ppunlearn.harness import _forget_spec, bench_methods
+        from ppunlearn.harness import bench_methods
         from ppunlearn.model import load_model
         run_dir = tmp_path / "priv"
         cfg = blob_config(run_dir, method="ppu-privacy")
@@ -268,9 +338,10 @@ class TestRunDirectoryArtifacts:
 
         before = state()
         ds = load_dataset(run_dir / "dataset")
-        split = make_forget_split(ds, _forget_spec(cfg))
+        plan = cfg.check()
+        split = make_forget_split(ds, plan.forget)
         original, _ = load_model(run_dir / "original.ckpt")
-        records = bench_methods(cfg, ds, split, original)
+        records = bench_methods(plan, ds, split, original)
         assert [r.label for r in records] == [
             "ppu-privacy", "baseline:retrain", "baseline:finetune"]
         assert state() == before
@@ -474,6 +545,12 @@ class TestCli:
         ("timing_repetitions", 2.0, "timing_repetitions"),
         ("timing_repetitions", 0, "timing_repetitions"),
         ("forget", {"target_class": 0, "count": 25}, "forget.mode"),
+        ("model", {"hiden": 64}, "model.hiden"),
+        ("finetune", {"epoch": 5}, "finetune.epoch"),
+        ("finetune", {"hidden": 16}, "finetune.hidden"),
+        ("evals", {"errors": "false"}, "evals.errors"),
+        ("evals", {"errors": True, "mia": "no"}, "evals.mia"),
+        ("evals", {"errors": True, "timing": 0}, "evals.timing"),
     ])
     def test_wrong_type_config_exit_code(self, tmp_path, capsys, field,
                                          value, name):
@@ -529,6 +606,29 @@ class TestCli:
             json.dumps({"completed": ["data", "original"]}))
         assert main([command, "--run-dir", str(run_dir)]) == 2
         assert f"stage {stage!r} missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, payload, commands", [
+        ("stages.json", [], ("eval", "report", "mia", "unlearn")),
+        ("stages.json", {"completed": "eval"}, ("eval", "mia", "unlearn")),
+        ("method.json", [], ("report", "unlearn")),
+        ("summary.json", 5, ("eval", "report")),
+        ("summary.json", {"eval_report": {}}, ("eval", "report")),
+    ])
+    def test_run_record_of_another_shape_exit_code(self, tmp_path, capsys,
+                                                    name, payload, commands):
+        # a record that decodes, but not to what the run wrote there
+        from ppunlearn.cli import main
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob_config(tmp_path / "run").to_dict()))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "run" / name
+        path.write_text(json.dumps(payload))
+        for command in commands:
+            capsys.readouterr()
+            args = (["--config", str(cfg_path)] if command == "unlearn"
+                    else ["--run-dir", str(tmp_path / "run")])
+            assert main([command, *args]) == 3
+            assert str(path) in capsys.readouterr().err
 
     def test_runtime_exit_code(self, tmp_path):
         from ppunlearn.cli import main
@@ -622,6 +722,22 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["sweep", "--config", str(cfg_path), "--lam", "1,x"]) == 2
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("axis, values, forget, says", [
+        ("--lam", "1,-2", None, "lam: must be a positive number, not -2.0"),
+        ("--seeds", "3,4", {"mode": "selective", "target_class": 0,
+                            "count": 500}, "forget: cannot forget 500"),
+    ])
+    def test_invalid_sweep_writes_nothing(self, tmp_path, capsys, axis,
+                                          values, forget, says):
+        from ppunlearn.cli import main
+        cfg = blob_config(tmp_path / "sweep")
+        cfg.forget = forget or cfg.forget
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["sweep", "--config", str(cfg_path), axis, values]) == 2
+        assert says in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_sweep_without_error_evals_exit_code(self, tmp_path, capsys):
         # the sweep table holds error rates, which such runs do not compute
