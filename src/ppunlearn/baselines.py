@@ -16,7 +16,8 @@ import numpy as np
 from .data import Dataset, SplitResult
 from .errors import SpecError, UsageError
 from .model import (ModelLayout, ModelParams, TrainConfig, _forward,
-                    _loss_and_grads, _momentum_step, init_model, train_ce)
+                    _loss_and_grads, _momentum_step, _Workspace, init_model,
+                    train_ce)
 from .pipeline import UnlearnReport
 
 KINDS = ("retrain", "original", "finetune", "neggrad-plus")
@@ -92,17 +93,19 @@ def neggrad_plus(model: ModelParams, data: Dataset, split: SplitResult,
 
     params = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    vel = [np.zeros_like(t) for t in params.tensors()]
+    vel = np.zeros_like(params.flat)
+    ws_r = _Workspace(params, min(cfg.batch_size, len(yr)))
+    ws_f = _Workspace(params, min(cfg.batch_size, len(yf)))
     for step in range(1, iters + 1):
         br = rng.choice(len(yr), size=min(cfg.batch_size, len(yr)), replace=False)
         bf = rng.choice(len(yf), size=min(cfg.batch_size, len(yf)), replace=False)
         if _raw_ce(params, xr[br], yr[br]) > 1e3:
             return NegGradResult(params, diverged=True, steps=step)
-        _, grads_r = _loss_and_grads(params, xr[br], Tr[br], "cross-entropy")
-        _, grads_f = _loss_and_grads(params, xf[bf], Tf[bf], "cross-entropy")
-        _momentum_step(params.tensors(), vel,
-                       [gr - ascent_weight * gf
-                        for gr, gf in zip(grads_r, grads_f)], cfg)
+        _loss_and_grads(params, xr[br], Tr[br], "cross-entropy", ws=ws_r)
+        _loss_and_grads(params, xf[bf], Tf[bf], "cross-entropy", ws=ws_f)
+        ws_f.g *= ascent_weight
+        ws_r.g -= ws_f.g
+        _momentum_step(params.flat, vel, ws_r.g, cfg)
     return NegGradResult(params, diverged=False, steps=iters)
 
 

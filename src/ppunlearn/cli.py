@@ -26,7 +26,7 @@ EXIT_NONCONVERGENCE = 4
 
 def _out_path(path: str) -> str:
     root = os.environ.get("PPUNLEARN_OUT_ROOT")
-    if root and not os.path.isabs(path):
+    if root and isinstance(path, str) and not os.path.isabs(path):
         return os.path.join(root, path)
     return path
 

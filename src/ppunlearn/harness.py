@@ -550,19 +550,19 @@ def sweep_axis(cfg: ExperimentConfig, axis: str, values) -> list:
         values = [kind(value) for value in values]
     except ValueError as exc:
         raise UsageError(f"{axis} sweep: {exc}") from exc
-    parent = Path(cfg.out_dir)
-    children = [replace(cfg, sweep=None, **sets(value), out_dir=str(
-        parent / f"{axis}_{value:{dir_format}}")) for value in values]
-    # nothing is written until every child is valid; the children share
-    # the forget spec and the class sizes, so one split shows that it fits
+    children = [replace(cfg, sweep=None, **sets(value)) for value in values]
+    # nothing, out_dir included, is used until every child is valid; they
+    # share the forget spec and the class sizes, so one split shows it fits
     plan = [child.check() for child in children][0]
     if not plan.evals["errors"]:
         raise UsageError("a sweep tabulates error rates, so it needs "
                          "evals.errors true")
     plan.data()
+    parent = Path(cfg.out_dir)
     parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, child in zip(values, children):
+        child.out_dir = str(parent / f"{axis}_{value:{dir_format}}")
         summary = run_experiment(child)
         rows.append((value,
                      summary.eval_report["retain_error"],

@@ -5,14 +5,16 @@ Two losses are supported: cross-entropy against integer labels, and KL
 divergence from caller-supplied target distributions to the model output
 (the target is the left argument).  Everything runs in float64 and is
 bitwise deterministic for a fixed seed with single-threaded BLAS.  The SGD
-loop runs on the calling thread.  Each training run keeps its parameters,
-velocity and gradients in three flat vectors, the weight and gradient
-tensors being views of them, so one momentum update covers every weight.
-Each epoch gathers its shuffled rows once into epoch buffers; a step reads
-a contiguous slice of them and writes its activations and gradients into
-one workspace, so it allocates no array and computes no loss.  Fine-tuning
-evaluates each epoch's snapshot on one helper thread, one epoch behind, on a
-copy of the weights, so the overlap changes no result.
+loop runs on the calling thread.  The parameters are one flat vector in
+checkpoint order, the weight tensors being views of it, so a snapshot is one
+copy and a checkpoint one block.  Both SGD loops, this module's and
+NegGrad+'s, keep their velocity and gradients in vectors parallel to it and
+update every weight with one momentum step.  Each epoch gathers its shuffled
+rows once into epoch buffers; a step reads a contiguous slice of them and
+writes its activations and gradients into one workspace, so it allocates no
+array and computes no loss.  Fine-tuning evaluates each epoch's snapshot on
+one helper thread, one epoch behind, on a copy of the weights, so the
+overlap changes no result.
 """
 
 from __future__ import annotations
@@ -41,23 +43,34 @@ class ModelLayout:
         if min(self.d_in, self.hidden, self.n_classes) < 1:
             raise LayoutError(f"all dimensions must be >= 1, got {self}")
 
+    @property
+    def shapes(self):
+        """The shapes of w1, b1, w2 and b2, in checkpoint order."""
+        d, h, k = self.d_in, self.hidden, self.n_classes
+        return ((d, h), (h,), (h, k), (k,))
+
 
 @dataclass
 class ModelParams:
-    """Weights of the classifier plus the layout and init seed."""
+    """The classifier's weights, one vector ``flat`` in checkpoint order
+    whose parts w1, b1, w2 and b2 are views, plus the layout and init seed."""
 
     layout: ModelLayout
     seed: int
-    w1: np.ndarray  # (D, H)
-    b1: np.ndarray  # (H,)
-    w2: np.ndarray  # (H, K)
-    b2: np.ndarray  # (K,)
+    flat: np.ndarray
+
+    def __post_init__(self):
+        shapes = self.layout.shapes
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        if self.flat.shape != (ends[-1],) or self.flat.dtype != np.float64:
+            raise ShapeError(f"{self.layout} needs ({ends[-1]},) float64 "
+                             f"weights, not {self.flat.shape} {self.flat.dtype}")
+        self.w1, self.b1, self.w2, self.b2 = (
+            part.reshape(shape)
+            for part, shape in zip(np.split(self.flat, ends[:-1]), shapes))
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.layout, self.seed,
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-        )
+        return ModelParams(self.layout, self.seed, self.flat.copy())
 
     def tensors(self):
         return (self.w1, self.b1, self.w2, self.b2)
@@ -115,35 +128,14 @@ class CheckpointSet:
         return len(self.entries)
 
 
-def _shapes(layout: ModelLayout):
-    """The shapes of w1, b1, w2 and b2."""
-    d, h, k = layout.d_in, layout.hidden, layout.n_classes
-    return ((d, h), (h,), (h, k), (k,))
-
-
-def _views(flat: np.ndarray, layout: ModelLayout):
-    """w1, b1, w2 and b2 as reshaped views of consecutive parts of ``flat``."""
-    views, start = [], 0
-    for shape in _shapes(layout):
-        stop = start + math.prod(shape)
-        views.append(flat[start:stop].reshape(shape))
-        start = stop
-    return tuple(views)
-
-
 def init_model(layout: ModelLayout, seed: int) -> ModelParams:
     """Seeded uniform init in [-s, s] with s = 1/sqrt(fan-in), per layer."""
     rng = np.random.default_rng(seed)
     s1 = 1.0 / np.sqrt(layout.d_in)
     s2 = 1.0 / np.sqrt(layout.hidden)
-    return ModelParams(
-        layout=layout,
-        seed=seed,
-        w1=rng.uniform(-s1, s1, (layout.d_in, layout.hidden)),
-        b1=rng.uniform(-s1, s1, layout.hidden),
-        w2=rng.uniform(-s2, s2, (layout.hidden, layout.n_classes)),
-        b2=rng.uniform(-s2, s2, layout.n_classes),
-    )
+    return ModelParams(layout, seed, np.concatenate([
+        rng.uniform(-s, s, math.prod(shape))
+        for s, shape in zip((s1, s1, s2, s2), layout.shapes)]))
 
 
 def _softmax(logits: np.ndarray, out=None, col=None) -> np.ndarray:
@@ -226,8 +218,8 @@ class _Workspace:
         self.da1 = np.empty((rows, h))      # da1, then dz1
         self.logits = np.empty((rows, k))   # logits, probs, then dlogits
         self.col = np.empty((rows, 1))      # row maxima, then row sums
-        self.g = np.empty(sum(t.size for t in params.tensors()))
-        self.grads = _views(self.g, params.layout)
+        self.g = np.empty_like(params.flat)
+        self.grads = ModelParams(params.layout, params.seed, self.g).tensors()
 
 
 def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
@@ -266,33 +258,26 @@ def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
     return loss, ws.grads
 
 
-def _momentum_step(targets, vel, grads, cfg) -> None:
-    """One SGD-with-momentum update, in place, of each array in ``targets``
-    and its velocity in ``vel``: v <- momentum * v - lr * g, then t <- t + v,
-    with ``grads`` overwritten by lr * g.  The three are parallel sequences:
-    the SGD loop passes its flat vectors as 1-tuples, so one update covers
-    every weight, and NegGrad+ passes the four tensors."""
-    for t, v, g in zip(targets, vel, grads):
-        v *= cfg.momentum
-        v -= np.multiply(g, cfg.lr, out=g)
-        t += v
+def _momentum_step(flat, vel, g, cfg) -> None:
+    """One SGD-with-momentum update, in place, of every weight in ``flat``
+    and its velocity ``vel``: v <- momentum * v - lr * g, then w <- w + v,
+    with the gradient ``g`` overwritten by lr * g."""
+    vel *= cfg.momentum
+    vel -= np.multiply(g, cfg.lr, out=g)
+    flat += vel
 
 
 def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
     """Shared mini-batch SGD loop; calls ``after_epoch(epoch, params)``.
 
-    The run's parameters, velocity and gradients are three flat vectors:
-    the working params, which are also the ones returned, hold views of the
-    first, and the workspace's gradient buffers are views of the third, so
-    each step makes one momentum update.  Each epoch gathers its shuffled
-    inputs, targets and row weights once into epoch buffers, and each step
-    reads a contiguous slice of them and writes into one workspace that the
-    run allocates up front.
+    The run trains and returns a copy of ``params``; each step makes one
+    momentum update of its ``flat``.  Each epoch gathers its shuffled inputs,
+    targets and row weights once into epoch buffers, and each step reads a
+    contiguous slice of them and writes into one workspace that the run
+    allocates up front.
     """
-    flat = np.concatenate([t.ravel() for t in params.tensors()])
-    params = ModelParams(params.layout, params.seed,
-                         *_views(flat, params.layout))
-    vel = np.zeros_like(flat)
+    params = params.copy()
+    vel = np.zeros_like(params.flat)
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     ws = _Workspace(params, min(cfg.batch_size, n))
@@ -310,7 +295,7 @@ def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
             batch = slice(start, start + cfg.batch_size)
             bw = None if row_weights is None else rws[batch]
             _loss_and_grads(params, xs[batch], ts[batch], kind, bw, ws)
-            _momentum_step((flat,), (vel,), (ws.g,), cfg)
+            _momentum_step(params.flat, vel, ws.g, cfg)
         if after_epoch is not None:
             after_epoch(epoch, params)
     return params
@@ -507,8 +492,7 @@ def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<IIII", _CKPT_VERSION, lay.d_in, lay.hidden,
                              lay.n_classes))
-        for t in params.tensors():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
     sidecar = {
         "seed": int(params.seed),
         "epoch": epoch,
@@ -520,7 +504,7 @@ def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:
 def load_model(path):
     """Read a checkpoint; returns (ModelParams, sidecar dict).
 
-    The file must hold exactly the header and the four tensors it sizes,
+    The file must hold exactly the header and the weights it sizes,
     with every weight finite; anything else raises DataError.
     """
     with open(path, "rb") as fh:
@@ -534,22 +518,21 @@ def load_model(path):
         if version != _CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         layout = ModelLayout(d, h, k)
-        tensors = []
-        for shape in _shapes(layout):
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise DataError(f"{path}: truncated checkpoint")
-            tensors.append(
-                np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            )
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after the weights")
-    if not all(np.isfinite(t).all() for t in tensors):
+        raw = fh.read()
+    size = 8 * sum(map(math.prod, layout.shapes))
+    if len(raw) != size:
+        raise DataError(f"{path}: " + ("truncated checkpoint" if len(raw) < size
+                                       else "trailing bytes after the weights"))
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
         raise DataError(f"{path}: non-finite weight")
+    sidecar_path = f"{path}.json"
     try:
-        sidecar = read_json(str(path) + ".json")
+        sidecar = read_json(sidecar_path)
     except FileNotFoundError:
         sidecar = {}
-    params = ModelParams(layout, int(sidecar.get("seed", -1)), *tensors)
+    if not isinstance(sidecar, dict):
+        raise DataError(f"{sidecar_path}: must hold a JSON object, not "
+                        f"{type(sidecar).__name__}")
+    params = ModelParams(layout, int(sidecar.get("seed", -1)), flat)
     return params, sidecar

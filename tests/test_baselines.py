@@ -131,6 +131,29 @@ class TestNegGradPlus:
         for ta, tb in zip(res.params.tensors(), params.tensors()):
             assert np.array_equal(ta, tb)
 
+    @pytest.mark.parametrize("lr, iters, ascent_weight", [
+        (0.05, 60, 0.5),
+        (5.0, 100, 10.0),
+    ])
+    def test_matches_frozen_loop_at_acceptance_widths(self, lr, iters,
+                                                      ascent_weight):
+        # the 48 -> 512 -> 5 network of the acceptance privacy scale
+        from ppunlearn.model import init_model, train_ce
+        ds = gen_blobs(5, 48, 125, 0.6, seed=3)
+        split = make_forget_split(ds, ForgetSpec(
+            mode="selective", target_class=0, count=25, seed=103))
+        model = train_ce(init_model(ModelLayout(48, 512, 5), seed=1),
+                         *ds.split_arrays("train"), ce_cfg(epochs=2))
+        cfg = TrainConfig(lr=lr, epochs=1, batch_size=32, momentum=0.9,
+                          seed=11)
+        res = neggrad_plus(model, ds, split, cfg, iters=iters,
+                           ascent_weight=ascent_weight)
+        params, diverged, steps = neggrad_plus_reference(
+            model, ds, split, cfg, iters, ascent_weight)
+        assert (res.diverged, res.steps) == (diverged, steps)
+        for ta, tb in zip(res.params.tensors(), params.tensors()):
+            assert ta.tobytes() == tb.tobytes()
+
 
 class TestRunBaseline:
     def test_uniform_report_shape(self, small_blobs, small_split, small_model):

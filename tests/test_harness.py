@@ -551,10 +551,14 @@ class TestCli:
         ("evals", {"errors": "false"}, "evals.errors"),
         ("evals", {"errors": True, "mia": "no"}, "evals.mia"),
         ("evals", {"errors": True, "timing": 0}, "evals.timing"),
+        ("out_dir", 5, "out_dir"),
     ])
-    def test_wrong_type_config_exit_code(self, tmp_path, capsys, field,
-                                         value, name):
+    def test_wrong_type_config_exit_code(self, tmp_path, capsys, monkeypatch,
+                                         field, value, name):
         from ppunlearn.cli import main
+        # relative output paths go under the root; a wrong-type out_dir must
+        # reach the config check before anything joins it to the root
+        monkeypatch.setenv("PPUNLEARN_OUT_ROOT", str(tmp_path / "root"))
         d = blob_config(tmp_path / "run", method="ppu-privacy").to_dict()
         d[field] = value
         cfg_path = tmp_path / "cfg.json"
@@ -613,6 +617,8 @@ class TestCli:
         ("method.json", [], ("report", "unlearn")),
         ("summary.json", 5, ("eval", "report")),
         ("summary.json", {"eval_report": {}}, ("eval", "report")),
+        ("original.ckpt.json", [], ("unlearn",)),
+        ("unlearned.ckpt.json", [], ("mia", "unlearn")),
     ])
     def test_run_record_of_another_shape_exit_code(self, tmp_path, capsys,
                                                     name, payload, commands):
@@ -738,6 +744,24 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path), axis, values]) == 2
         assert says in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_wrong_type_out_dir_exit_code(self, tmp_path, capsys,
+                                                monkeypatch):
+        from ppunlearn.cli import main
+        from ppunlearn.harness import sweep_seeds
+        monkeypatch.setenv("PPUNLEARN_OUT_ROOT", str(tmp_path / "root"))
+        cfg = blob_config(tmp_path / "sweep")
+        cfg.out_dir = 5
+        with pytest.raises(UsageError, match="out_dir: must be a non-empty "
+                                             "string, not 5"):
+            sweep_seeds(cfg, [3, 4])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        for axis in ("--lam", "--seeds"):
+            assert main(["sweep", "--config", str(cfg_path), axis, "3"]) == 2
+            assert "out_dir: must be a non-empty string, not 5" in (
+                capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_sweep_without_error_evals_exit_code(self, tmp_path, capsys):
         # the sweep table holds error rates, which such runs do not compute

@@ -1,3 +1,4 @@
+import struct
 import threading
 
 import numpy as np
@@ -46,6 +47,49 @@ class TestInitModel:
             ModelLayout(0, 4, 2)
         with pytest.raises(LayoutError):
             ModelLayout(2, -1, 2)
+
+    def test_draws_each_tensor_in_checkpoint_order(self):
+        # the draws of the original per-tensor init, into one vector
+        p = init_model(ModelLayout(6, 5, 3), seed=9)
+        rng = np.random.default_rng(9)
+        s1, s2 = 1.0 / np.sqrt(6), 1.0 / np.sqrt(5)
+        want = (rng.uniform(-s1, s1, (6, 5)), rng.uniform(-s1, s1, 5),
+                rng.uniform(-s2, s2, (5, 3)), rng.uniform(-s2, s2, 3))
+        for got, ref in zip(p.tensors(), want):
+            assert got.tobytes() == ref.tobytes()
+
+
+class TestModelParams:
+    LAYOUT = ModelLayout(3, 5, 4)   # 15 + 5 + 20 + 4 = 44 weights
+
+    @pytest.mark.parametrize("flat", [
+        np.zeros(43), np.zeros(45), np.zeros((44, 1)), np.zeros((4, 11)),
+        np.zeros(44, dtype=np.float32), np.zeros(44, dtype=np.int64)])
+    def test_rejects_a_vector_that_does_not_fit_the_layout(self, flat):
+        with pytest.raises(ShapeError, match=r"\(44,\) float64"):
+            ModelParams(self.LAYOUT, 0, flat)
+
+    def test_tensors_are_views_of_flat(self):
+        flat = np.arange(44.0)
+        p = ModelParams(self.LAYOUT, 0, flat)
+        assert p.flat is flat
+        assert [t.shape for t in p.tensors()] == [(3, 5), (5,), (5, 4), (4,)]
+        assert all(np.shares_memory(t, flat) for t in p.tensors())
+        assert np.array_equal(np.concatenate([t.ravel() for t in p.tensors()]),
+                              flat)
+        flat[:] = -1.0
+        assert all((t == -1.0).all() for t in p.tensors())
+
+    def test_copy_shares_no_memory(self):
+        p = init_model(self.LAYOUT, seed=2)
+        q = p.copy()
+        assert (q.layout, q.seed) == (p.layout, p.seed)
+        assert q.flat.tobytes() == p.flat.tobytes()
+        for a in (q.flat, *q.tensors()):
+            assert not any(np.shares_memory(a, b)
+                           for b in (p.flat, *p.tensors()))
+        q.flat[:] = 0.0
+        assert q.w1.sum() == 0.0 and p.w1.any()
 
 
 class TestForwardProbs:
@@ -541,6 +585,16 @@ class TestCheckpointIo:
         assert sidecar["epoch"] == 7
         assert sidecar["error_rates"] == {"test": 1.5}
 
+    def test_bytes_match_a_per_tensor_writer(self, tmp_path):
+        # the checkpoint format as written one tensor at a time
+        params = init_model(ModelLayout(3, 5, 4), seed=11)
+        path = tmp_path / "model.ckpt"
+        save_model(params, path)
+        want = b"UNLMDL01" + struct.pack("<IIII", 1, 3, 5, 4) + b"".join(
+            np.ascontiguousarray(t, dtype="<f8").tobytes()
+            for t in (params.w1, params.b1, params.w2, params.b2))
+        assert path.read_bytes() == want
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -557,6 +611,14 @@ class TestCheckpointIo:
             with pytest.raises(DataError):
                 load_model(path)
 
+    def test_header_sizing_more_weights_than_memory(self, tmp_path):
+        # the reader sizes the weights from the header without allocating them
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"UNLMDL01" + struct.pack("<IIII", 1, 2**31, 2**31, 5)
+                         + b"\x00" * 64)
+        with pytest.raises(DataError, match="truncated"):
+            load_model(path)
+
     def test_trailing_bytes(self, tmp_path):
         params = init_model(ModelLayout(3, 5, 4), seed=11)
         path = tmp_path / "model.ckpt"
@@ -571,6 +633,15 @@ class TestCheckpointIo:
         sidecar = tmp_path / "model.ckpt.json"
         sidecar.write_bytes(sidecar.read_bytes()[:5])
         with pytest.raises(DataError, match="model.ckpt.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("payload", ["[]", "5", '"seed"', "null"])
+    def test_sidecar_of_another_shape(self, tmp_path, payload):
+        path = tmp_path / "model.ckpt"
+        save_model(init_model(ModelLayout(3, 5, 4), seed=11), path, epoch=2)
+        (tmp_path / "model.ckpt.json").write_text(payload)
+        with pytest.raises(DataError, match="model.ckpt.json: must hold a "
+                                            "JSON object"):
             load_model(path)
 
     def test_non_finite_weight(self, tmp_path):
