@@ -16,8 +16,8 @@ import numpy as np
 from .data import Dataset, SplitResult
 from .errors import SpecError, UsageError
 from .model import (ModelLayout, ModelParams, TrainConfig, _forward,
-                    _loss_and_grads, _momentum_step, _Workspace, init_model,
-                    train_ce)
+                    _loss_and_grads, _momentum_step, _with_ones, _Workspace,
+                    init_model, train_ce)
 from .pipeline import UnlearnReport
 
 KINDS = ("retrain", "original", "finetune", "neggrad-plus")
@@ -85,6 +85,7 @@ def neggrad_plus(model: ModelParams, data: Dataset, split: SplitResult,
         raise SpecError("neggrad-plus needs non-empty forget and retain sets")
     xr, yr = data.arrays_at(split.retain_idx)
     xf, yf = data.arrays_at(split.forget_idx)
+    xr, xf = _with_ones(model, xr), _with_ones(model, xf)
     K = model.layout.n_classes
     Tr = np.zeros((len(yr), K))
     Tr[np.arange(len(yr)), yr] = 1.0

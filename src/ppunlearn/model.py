@@ -9,12 +9,16 @@ loop runs on the calling thread.  The parameters are one flat vector in
 checkpoint order, the weight tensors being views of it, so a snapshot is one
 copy and a checkpoint one block.  Both SGD loops, this module's and
 NegGrad+'s, keep their velocity and gradients in vectors parallel to it and
-update every weight with one momentum step.  Each epoch gathers its shuffled
-rows once into epoch buffers; a step reads a contiguous slice of them and
-writes its activations and gradients into one workspace, so it allocates no
-array and computes no loss.  Fine-tuning evaluates each epoch's snapshot on
-one helper thread, one epoch behind, on a copy of the weights, so the
-overlap changes no result.
+update every weight with one momentum step.  The inputs carry a trailing
+column of ones, so b1 rides in the first layer's GEMMs: the forward pass
+multiplies by the block [w1; b1] and one GEMM writes [dw1; db1].  That is
+bitwise identical to separate bias terms while the GEMM sums its inner
+dimension (the input width + 1 forward, the batch rows for db1) in one
+block.  Each epoch gathers its shuffled rows once into epoch buffers; a step
+reads a contiguous slice of them and writes its activations and gradients
+into one workspace, so it allocates no array and computes no loss.
+Fine-tuning evaluates each epoch's snapshot on one helper thread, one epoch
+behind, on a copy of the weights, so the overlap changes no result.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ class ModelLayout:
 @dataclass
 class ModelParams:
     """The classifier's weights, one vector ``flat`` in checkpoint order
-    whose parts w1, b1, w2 and b2 are views, plus the layout and init seed."""
+    whose parts w1, b1, w2 and b2 are views, plus the layout and init seed.
+    ``w1b1`` views w1 and b1 as one block, w1's rows then b1."""
 
     layout: ModelLayout
     seed: int
@@ -68,6 +73,7 @@ class ModelParams:
         self.w1, self.b1, self.w2, self.b2 = (
             part.reshape(shape)
             for part, shape in zip(np.split(self.flat, ends[:-1]), shapes))
+        self.w1b1 = self.flat[:ends[1]].reshape(-1, self.layout.hidden)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.layout, self.seed, self.flat.copy())
@@ -151,14 +157,26 @@ def _softmax(logits: np.ndarray, out=None, col=None) -> np.ndarray:
     return e
 
 
+def _with_ones(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """The inputs with a trailing column of ones, which multiplies b1 in the
+    first layer's GEMMs; inputs that already carry it come back as they are."""
+    if X.shape[1] != params.layout.d_in:
+        return X
+    Xa = np.empty((X.shape[0], X.shape[1] + 1))
+    Xa[:, :-1] = X
+    Xa[:, -1] = 1.0
+    return Xa
+
+
 def _forward(params: ModelParams, X: np.ndarray, out=None):
     """Hidden activations and logits, written in place into ``out``, a pair
     of (n, hidden) and (n, K) arrays, or into a fresh pair; passing the same
-    pair to repeated passes over the same rows allocates nothing."""
+    pair to repeated passes over the same rows allocates nothing, once the
+    inputs carry their column of ones."""
+    X = _with_ones(params, X)
     a1, logits = out or (np.empty((X.shape[0], params.layout.hidden)),
                          np.empty((X.shape[0], params.layout.n_classes)))
-    np.matmul(X, params.w1, out=a1)
-    a1 += params.b1
+    np.matmul(X, params.w1b1, out=a1)
     np.tanh(a1, out=a1)
     np.matmul(a1, params.w2, out=logits)
     logits += params.b2
@@ -209,7 +227,8 @@ def _mean_loss(probs, T, w, kind):
 class _Workspace:
     """The buffers one training run's SGD steps write into, for batches of
     up to ``rows`` rows; a shorter batch uses their leading rows.  The four
-    gradient buffers ``grads`` are views of one flat vector ``g``."""
+    gradient buffers ``grads`` are views of one flat vector ``g``, and
+    ``dw1b1`` views dw1 and db1 as one block, as ``ModelParams.w1b1`` does."""
 
     def __init__(self, params: ModelParams, rows: int):
         h, k = params.layout.hidden, params.layout.n_classes
@@ -219,7 +238,8 @@ class _Workspace:
         self.logits = np.empty((rows, k))   # logits, probs, then dlogits
         self.col = np.empty((rows, 1))      # row maxima, then row sums
         self.g = np.empty_like(params.flat)
-        self.grads = ModelParams(params.layout, params.seed, self.g).tensors()
+        grads = ModelParams(params.layout, params.seed, self.g)
+        self.grads, self.dw1b1 = grads.tensors(), grads.w1b1
 
 
 def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
@@ -234,8 +254,10 @@ def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
     With a workspace ``ws`` (the SGD step), every intermediate and the
     gradients are written into its buffers, and the loss is not computed:
     the first item of the result is None.  Without one, the call allocates
-    its own buffers and returns ``(loss, grads)``.
+    its own buffers and returns ``(loss, grads)``.  Inputs without their
+    column of ones get it in a copy, so the SGD loops pass it already.
     """
+    X = _with_ones(params, X)
     n = X.shape[0]
     with_loss = ws is None
     if with_loss:
@@ -247,14 +269,14 @@ def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
     loss = _mean_loss(probs, T, w, kind) if with_loss else None
     dlogits = np.subtract(probs, T, out=probs)
     dlogits *= w if row_weights is None else w[:, None]
-    dw1, db1, dw2, db2 = ws.grads
+    _, _, dw2, db2 = ws.grads
     np.matmul(a1.T, dlogits, out=dw2)
     np.add.reduce(dlogits, axis=0, out=db2)
     dz1 = np.matmul(dlogits, params.w2.T, out=ws.da1[:n])
     np.multiply(a1, a1, out=a1)
     dz1 *= np.subtract(1.0, a1, out=a1)
-    np.matmul(X.T, dz1, out=dw1)
-    np.add.reduce(dz1, axis=0, out=db1)
+    # the ones column sums dz1 over the rows into db1
+    np.matmul(X.T, dz1, out=ws.dw1b1)
     return loss, ws.grads
 
 
@@ -271,14 +293,16 @@ def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
     """Shared mini-batch SGD loop; calls ``after_epoch(epoch, params)``.
 
     The run trains and returns a copy of ``params``; each step makes one
-    momentum update of its ``flat``.  Each epoch gathers its shuffled inputs,
-    targets and row weights once into epoch buffers, and each step reads a
-    contiguous slice of them and writes into one workspace that the run
-    allocates up front.
+    momentum update of its ``flat``.  The inputs get their column of ones
+    once per run, unless they carry it already.  Each epoch gathers its
+    shuffled inputs, targets and row weights once into epoch buffers, and
+    each step reads a contiguous slice of them and writes into one workspace
+    that the run allocates up front.
     """
     params = params.copy()
     vel = np.zeros_like(params.flat)
     rng = np.random.default_rng(cfg.seed)
+    X = _with_ones(params, X)
     n = X.shape[0]
     ws = _Workspace(params, min(cfg.batch_size, n))
     xs, ts = np.empty(X.shape), np.empty(T.shape)
@@ -333,7 +357,7 @@ def _eval_rows(params: ModelParams, rows, n: int) -> np.ndarray:
     matrix of its own."""
     rows = np.asarray(rows)
     if rows.ndim != 1:
-        return _check_inputs(params, rows)
+        return _with_ones(params, _check_inputs(params, rows))
     if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
                       or rows.max() >= n):
         raise ShapeError(f"eval positions must be integers in [0, {n})")
@@ -406,6 +430,8 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
 
     T = targets.values
     w = _normalized_weights(X.shape[0], row_weights)
+    # one copy with the column of ones, for the SGD and every snapshot
+    X = _with_ones(params, X)
 
     # every snapshot's passes write into the same buffers: fresh arrays of
     # this size would each be mapped from the OS and fault their pages in
@@ -534,5 +560,8 @@ def load_model(path):
     if not isinstance(sidecar, dict):
         raise DataError(f"{sidecar_path}: must hold a JSON object, not "
                         f"{type(sidecar).__name__}")
-    params = ModelParams(layout, int(sidecar.get("seed", -1)), flat)
-    return params, sidecar
+    seed = sidecar.get("seed", -1)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DataError(f"{sidecar_path}: seed must be an integer, not "
+                        f"{seed!r}")
+    return ModelParams(layout, seed, flat), sidecar

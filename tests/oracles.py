@@ -6,8 +6,8 @@ projections), the package's original dual ascent and, at lambda = 1,
 Sinkhorn matrix scaling; classification oracles are nearest-centroid and a
 hand-rolled logistic regression, and gradients are checked by central finite
 differences.  The frozen copies of the original primal update, 1-D logistic
-fit, NegGrad+ loop and SGD loop pin the package's rewrites to the original
-arithmetic bit for bit.
+fit, NegGrad+ loop, forward pass and SGD loop pin the package's rewrites to
+the original arithmetic bit for bit.
 """
 
 import numpy as np
@@ -337,6 +337,20 @@ def neggrad_plus_reference(model, data, split, cfg, iters, ascent_weight):
             vel[i] = cfg.momentum * vel[i] - cfg.lr * (gr - ascent_weight * gf)
             t += vel[i]
     return params, False, iters
+
+
+# ---------------------------------------------------------------------------
+# the forward pass
+
+def forward_reference(params, X):
+    """A frozen copy of the package's original forward pass, which added
+    each bias after its layer's product: returns ``(a1, logits, probs)``,
+    with ``probs`` the plain softmax of the logits.  The package's pass,
+    which multiplies b1 in with the inputs, must match it bit for bit."""
+    a1 = np.tanh(X @ params.w1 + params.b1)
+    logits = a1 @ params.w2 + params.b2
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return a1, logits, e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

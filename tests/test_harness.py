@@ -619,6 +619,7 @@ class TestCli:
         ("summary.json", {"eval_report": {}}, ("eval", "report")),
         ("original.ckpt.json", [], ("unlearn",)),
         ("unlearned.ckpt.json", [], ("mia", "unlearn")),
+        ("original.ckpt.json", {"seed": 1.5}, ("unlearn",)),
     ])
     def test_run_record_of_another_shape_exit_code(self, tmp_path, capsys,
                                                     name, payload, commands):

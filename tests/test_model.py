@@ -1,3 +1,4 @@
+import json
 import struct
 import threading
 
@@ -13,8 +14,8 @@ from ppunlearn.model import (CheckpointSet, CheckpointEntry, ModelLayout,
                              load_model, predict_labels, save_model, train_ce)
 from ppunlearn.probmatrix import ProbMatrix, kl_rows
 
-from oracles import (finite_diff_grads, logistic_regression_error,
-                     sgd_epochs_reference)
+from oracles import (finite_diff_grads, forward_reference,
+                     logistic_regression_error, sgd_epochs_reference)
 
 
 def two_blob_data(n=200, seed=0):
@@ -127,6 +128,27 @@ class TestForwardProbs:
             assert np.array_equal(a1, ref_a1)
             assert np.array_equal(logits, ref_a1 @ p.w2 + p.b2)
             p.w1 *= 0.5
+
+
+class TestFrozenForward:
+    @pytest.mark.parametrize("rows", [1, 25, 125, 440, 2000, 7000])
+    @pytest.mark.parametrize("d, hidden, k", [(48, 512, 5), (8, 32, 5),
+                                              (6, 40, 4), (3, 6, 4)])
+    def test_matches_the_unfolded_pass_bitwise(self, rows, d, hidden, k):
+        rng = np.random.default_rng(rows + hidden)
+        params = init_model(ModelLayout(d, hidden, k), seed=5)
+        params.b1 += rng.uniform(-1.0, 1.0, hidden)
+        params.b2 += rng.uniform(-1.0, 1.0, k)
+        assert params.b1.all() and params.b2.all()
+        X = rng.normal(size=(rows, d))
+        ref_a1, ref_logits, ref_probs = forward_reference(params, X)
+        a1, logits = model_module._forward(params, X)
+        assert a1.tobytes() == ref_a1.tobytes()
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert forward_probs(params, X).values.tobytes() == (
+            ProbMatrix(ref_probs).values.tobytes())
+        assert np.array_equal(predict_labels(params, X),
+                              ref_logits.argmax(axis=1))
 
 
 class TestTrainCe:
@@ -460,6 +482,7 @@ class TestFrozenSgdLoop:
         (50, 8, 0.0, 3, 40),     # no momentum
         (50, 8, 0.9, 0, 40),     # no epochs
         (100, 32, 0.9, 2, 512),  # the acceptance network's widths
+        (150, 64, 0.9, 2, 512),  # the privacy runs' batch, a short last one
     ])
     def test_matches_the_frozen_loop_bitwise(self, kind, weighted, n,
                                              batch_size, momentum, epochs,
@@ -642,6 +665,15 @@ class TestCheckpointIo:
         (tmp_path / "model.ckpt.json").write_text(payload)
         with pytest.raises(DataError, match="model.ckpt.json: must hold a "
                                             "JSON object"):
+            load_model(path)
+
+    @pytest.mark.parametrize("seed", ["abc", None, [1], 1.5, True])
+    def test_sidecar_seed_of_another_type(self, tmp_path, seed):
+        path = tmp_path / "model.ckpt"
+        save_model(init_model(ModelLayout(3, 5, 4), seed=11), path, epoch=2)
+        (tmp_path / "model.ckpt.json").write_text(json.dumps({"seed": seed}))
+        with pytest.raises(DataError, match="model.ckpt.json: seed must be "
+                                            "an integer"):
             load_model(path)
 
     def test_non_finite_weight(self, tmp_path):
