@@ -13,6 +13,7 @@ IDX image container) can slot in as peers of ``load_csv`` returning a
 from __future__ import annotations
 
 import hashlib
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -150,8 +151,8 @@ def check_blobs(n_classes: int, dim: int, n_per_class: int,
         raise SpecError(f"dim: must be >= 1, got {dim}")
     if n_per_class < 10:
         raise SpecError(f"n_per_class: must be >= 10, got {n_per_class}")
-    if spread <= 0:
-        raise SpecError(f"spread: must be > 0, got {spread}")
+    if not 0 < spread < math.inf:
+        raise SpecError(f"spread: must be finite and > 0, got {spread}")
 
 
 def gen_blobs(n_classes: int, dim: int, n_per_class: int, spread: float,
@@ -191,7 +192,11 @@ def load_csv(path) -> Dataset:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    lines = raw.decode("utf-8").splitlines()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
     rows, labels = [], []
     start = 0
     if lines:
@@ -208,6 +213,8 @@ def load_csv(path) -> Dataset:
             feats = [float(f) for f in fields[:-1]]
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric feature value")
+        if not all(map(math.isfinite, feats)):
+            raise ParseError(f"line {lineno}: non-finite feature value")
         lab = _parse_label(fields[-1], lineno)
         rows.append(feats)
         labels.append(lab)
@@ -247,7 +254,7 @@ def _parse_label(field_str: str, lineno: int) -> int:
         v = float(field_str)
     except ValueError:
         raise ParseError(f"line {lineno}: non-numeric label {field_str!r}")
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):
         raise ParseError(f"line {lineno}: label {field_str!r} is not an integer")
     return int(v)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import platform
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -46,7 +47,8 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    """A finite JSON number: the JSON reader accepts NaN and Infinity."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
 def _eta_number(x):

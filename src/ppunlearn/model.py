@@ -98,8 +98,8 @@ class TrainConfig:
     loss: str = "cross-entropy"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise UsageError(f"lr: must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise UsageError(f"lr: must be finite and > 0, got {self.lr}")
         if self.epochs < 0:
             raise UsageError(f"epochs: must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -157,13 +157,15 @@ def _softmax(logits: np.ndarray, out=None, col=None) -> np.ndarray:
     return e
 
 
-def _with_ones(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """The inputs with a trailing column of ones, which multiplies b1 in the
-    first layer's GEMMs; inputs that already carry it come back as they are."""
+def _with_ones(params: ModelParams, X: np.ndarray, *more) -> np.ndarray:
+    """The rows of X, then of any ``more`` matrices, in one copy with a
+    trailing column of ones, which multiplies b1 in the first layer's GEMMs;
+    inputs that already carry it come back as they are."""
     if X.shape[1] != params.layout.d_in:
         return X
-    Xa = np.empty((X.shape[0], X.shape[1] + 1))
-    Xa[:, :-1] = X
+    blocks = (X, *more)
+    Xa = np.empty((sum(b.shape[0] for b in blocks), X.shape[1] + 1))
+    np.concatenate(blocks, out=Xa[:, :-1])
     Xa[:, -1] = 1.0
     return Xa
 
@@ -352,18 +354,6 @@ def kl_loss(params: ModelParams, inputs, targets: ProbMatrix,
                       _normalized_weights(X.shape[0], row_weights), "kl")
 
 
-def _eval_rows(params: ModelParams, rows, n: int) -> np.ndarray:
-    """An eval subset's rows: 1-D positions into the inputs, or an input
-    matrix of its own."""
-    rows = np.asarray(rows)
-    if rows.ndim != 1:
-        return _with_ones(params, _check_inputs(params, rows))
-    if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
-                      or rows.max() >= n):
-        raise ShapeError(f"eval positions must be integers in [0, {n})")
-    return rows
-
-
 def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
                 eval_sets=None, row_weights=None,
                 on_entry=None) -> CheckpointSet:
@@ -385,11 +375,11 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
             bounds the weight copies held to a few, whatever the epoch
             count.
 
-    A snapshot runs one forward pass over ``inputs`` and no backward pass:
-    its ``kl_loss`` and the metrics of every positional subset come from
-    those logits, so only a subset given as an input matrix costs a forward
-    pass of its own.  The reference outputs for ``y=None`` subsets come from
-    the same kind of pass over ``params``, made once before training.  Each
+    The inputs, then the rows of every subset given as an input matrix, are
+    copied once into one matrix with the column of ones; the SGD reads its
+    leading rows.  One forward pass over it, and no backward pass, measures
+    ``params`` before training and each snapshot: the loss reads the train
+    rows' logits, and each subset the logits at its positions.  Each
     snapshot is evaluated on one helper thread while the calling thread runs
     the next epoch's SGD; entries are completed on the calling thread, in
     epoch order.
@@ -418,50 +408,48 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
             raise ShapeError("row_weights must have one entry per input row")
         if row_weights.min() <= 0:
             raise UsageError("row_weights must be positive")
-    sets = {}
+    end = n = X.shape[0]
+    sets, blocks = {}, []
     for name, (rows, y) in (eval_sets or {}).items():
-        rows = _eval_rows(params, rows, X.shape[0])
+        rows = np.asarray(rows)
+        if rows.ndim != 1:
+            # an input matrix: its rows follow the train rows in the copy
+            blocks.append(_check_inputs(params, rows))
+            rows = np.arange(end, end + blocks[-1].shape[0])
+            end += rows.size
+        elif rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
+                            or rows.max() >= n):
+            raise ShapeError(f"eval positions must be integers in [0, {n})")
         if y is not None:
             y = np.asarray(y)
-            if y.shape != rows.shape[:1]:
+            if y.shape != rows.shape:
                 raise ShapeError(f"eval set {name!r}: labels of shape "
-                                 f"{y.shape} for {rows.shape[0]} rows")
+                                 f"{y.shape} for {rows.size} rows")
         sets[name] = (rows, y)
 
     T = targets.values
-    w = _normalized_weights(X.shape[0], row_weights)
-    # one copy with the column of ones, for the SGD and every snapshot
-    X = _with_ones(params, X)
-
-    # every snapshot's passes write into the same buffers: fresh arrays of
-    # this size would each be mapped from the OS and fault their pages in
-    def buffers(rows):
-        return (np.empty((rows.shape[0], params.layout.hidden)),
-                np.empty((rows.shape[0], params.layout.n_classes)))
-    x_pass = buffers(X)
-    passes = {name: buffers(rows) for name, (rows, _) in sets.items()
-              if rows.ndim != 1}
-
-    def subset_logits(p, logits, name):
-        rows = sets[name][0]
-        if rows.ndim == 1:
-            return logits[rows]
-        return _forward(p, rows, passes[name])[1]
+    w = _normalized_weights(n, row_weights)
+    # one copy with the column of ones: the train rows, which the SGD reads,
+    # then the rows of every input-matrix subset
+    X = _with_ones(params, X, *blocks)
+    # every pass writes into the same buffers: fresh arrays of this size
+    # would each be mapped from the OS and fault their pages in
+    out = (np.empty((end, params.layout.hidden)),
+           np.empty((end, params.layout.n_classes)))
 
     def measure(p, names):
-        """Loss plus the logits of the named eval subsets, from one pass;
-        logits of an input-matrix subset stay valid until the next call."""
-        _, logits = _forward(p, X, x_pass)
-        return (_mean_loss(_softmax(logits), T, w, "kl"),
-                {name: subset_logits(p, logits, name) for name in names})
+        """Loss plus copies of the named subsets' logits, from one pass."""
+        _, logits = _forward(p, X, out)
+        return (_mean_loss(_softmax(logits[:n]), T, w, "kl"),
+                {name: logits[sets[name][0]] for name in names})
 
     drift = [name for name, (_, y) in sets.items() if y is None]
     initial_loss, start = measure(params, drift)
     refs = {name: ProbMatrix(_softmax(start[name])) for name in drift}
 
     def evaluate(p):
-        """A snapshot's metrics, with each drift subset's outputs in place of
-        its divergence; nothing returned refers to the reused pass buffers."""
+        """A snapshot's metrics, each drift subset's outputs in place of its
+        divergence."""
         # call nothing perfbench/spans.py wraps; spans from here would misnest
         loss, logits = measure(p, sets)
         metrics = {"kl_loss": loss}
@@ -500,7 +488,7 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
             p = p.copy()
             pending.append((epoch, p, pool.submit(evaluate, p)))
 
-        _sgd_epochs(params, X, T, cfg, "kl", row_weights, snapshot)
+        _sgd_epochs(params, X[:n], T, cfg, "kl", row_weights, snapshot)
         if pending:
             finish(*pending.pop())
     return CheckpointSet(entries, initial_loss=initial_loss)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ppunlearn.data import (Dataset, ForgetSpec, SplitResult, gen_blobs,
-                            load_csv, load_dataset, make_forget_split,
+from ppunlearn.data import (Dataset, ForgetSpec, SplitResult, check_blobs,
+                            gen_blobs, load_csv, load_dataset, make_forget_split,
                             save_dataset)
 from ppunlearn.errors import (DataError, LabelMappingError, ParseError,
                               SpecError)
@@ -55,6 +55,9 @@ class TestGenBlobs:
             gen_blobs(2, 2, 9, 0.5, seed=0)
         with pytest.raises(SpecError):
             gen_blobs(2, 2, 100, 0.0, seed=0)
+        for spread in (float("nan"), float("inf")):
+            with pytest.raises(SpecError, match="spread"):
+                check_blobs(3, 4, 20, spread)
 
 
 class TestLoadCsv:
@@ -83,6 +86,27 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_text("1.0,2.0,0\nhello,4.0,1\n")
         with pytest.raises(ParseError, match="line 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_label_rejected_with_line(self, tmp_path, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(ParseError, match="line 2: label"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x,y,label\n1.0,2.0,0\n3.0,{value},1\n")
+        with pytest.raises(ParseError, match="line 3: non-finite feature"):
+            load_csv(path)
+
+    def test_bytes_that_are_not_utf8_rejected_with_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1.0,2.0,0\n3.0,4.0,1\n5.0,\xff6.0,0\n")
+        with pytest.raises(ParseError,
+                           match=r"data\.csv: line 3: not UTF-8"):
             load_csv(path)
 
     def test_non_contiguous_labels_list_remap(self, tmp_path):

@@ -552,6 +552,10 @@ class TestCli:
         ("evals", {"errors": True, "mia": "no"}, "evals.mia"),
         ("evals", {"errors": True, "timing": 0}, "evals.timing"),
         ("out_dir", 5, "out_dir"),
+        ("model", {"lr": float("nan")}, "model.lr"),
+        ("dataset", {"kind": "blobs", "spread": float("inf")},
+         "dataset.spread"),
+        ("lam", float("inf"), "lam"),
     ])
     def test_wrong_type_config_exit_code(self, tmp_path, capsys, monkeypatch,
                                          field, value, name):
@@ -712,6 +716,23 @@ class TestCli:
         assert main(["unlearn", "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert named in err and says in err
+
+    @pytest.mark.parametrize("bad_row, line", [
+        (b"0.5,\xff1.0,0\n", "line 3"),
+        (b"0.5,1.0,nan\n", "line 3"),
+        (b"0.5,inf,1\n", "line 3"),
+    ])
+    def test_unreadable_csv_exit_code(self, tmp_path, capsys, bad_row, line):
+        from ppunlearn.cli import main
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1.0,2.0,0\n3.0,4.0,1\n" + bad_row)
+        cfg = blob_config(tmp_path / "run",
+                          dataset={"kind": "csv", "path": str(path)})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 3
+        assert line in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_sweep_command(self, tmp_path):
         from ppunlearn.cli import main

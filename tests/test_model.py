@@ -215,6 +215,9 @@ class TestTrainConfig:
             TrainConfig(lr=0.1, epochs=1, momentum=1.0)
         with pytest.raises(UsageError):
             TrainConfig(lr=0.1, epochs=1, loss="hinge")
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="lr"):
+                TrainConfig(lr=lr, epochs=1)
 
 
 class TestFinetuneKl:
@@ -354,6 +357,28 @@ class TestFinetuneKl:
         cps = finetune_kl(params, X, targets, cfg, eval_sets=eval_sets,
                           row_weights=weights)
         return params, X, targets, weights, eval_sets, cps
+
+    def test_one_forward_pass_per_snapshot(self, rng, monkeypatch):
+        # the initial pass and each snapshot cover the train rows and the
+        # input-matrix subsets at once; the SGD's own passes see a batch
+        rows = []
+        real = model_module._forward
+
+        def recording(params, X, out=None):
+            rows.append(X.shape[0])
+            return real(params, X, out)
+
+        monkeypatch.setattr(model_module, "_forward", recording)
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(0, 4, size=40)
+        params = init_model(ModelLayout(3, 6, 4), seed=4)
+        cfg = TrainConfig(lr=0.5, epochs=3, batch_size=8, seed=1, loss="kl")
+        finetune_kl(params, X, np.full((40, 4), 0.25), cfg,
+                    eval_sets={"forget": (np.arange(5), y[:5]),
+                               "test": (rng.normal(size=(15, 3)),
+                                        rng.integers(0, 4, size=15)),
+                               "drift": (np.arange(40), None)})
+        assert [r for r in rows if r > 8] == [40 + 15] * (cfg.epochs + 1)
 
     def test_pipelined_snapshots_match_synchronous_recomputation(self, rng):
         params, X, targets, weights, eval_sets, cps = self._pipelined_run(rng)
