@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .errors import UnlearnError, UsageError
+from .errors import SpecError, UnlearnError, UsageError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,8 +41,14 @@ def _load_config(path: str):
 
 def _cmd_generate_data(args) -> int:
     from .data import gen_blobs, save_dataset
-    ds = gen_blobs(args.classes, args.dim, args.per_class, args.spread,
-                   args.seed)
+    try:
+        ds = gen_blobs(args.classes, args.dim, args.per_class, args.spread,
+                       args.seed)
+    except SpecError as exc:
+        # the check names the parameter at fault; name its flag instead
+        name, _, rest = str(exc).partition(":")
+        flags = {"n_classes": "classes", "n_per_class": "per-class"}
+        raise UsageError(f"--{flags.get(name, name)}:{rest}") from None
     save_dataset(ds, _out_path(args.out))
     print(f"dataset: N={ds.n} D={ds.dim} K={ds.n_classes} -> {args.out}")
     return EXIT_OK
@@ -51,11 +57,13 @@ def _cmd_generate_data(args) -> int:
 def _cmd_train(args) -> int:
     from .data import load_dataset
     from .model import ModelLayout, TrainConfig, init_model, save_model, train_ce
-    ds = load_dataset(_out_path(args.dataset))
-    layout = ModelLayout(ds.dim, args.hidden, ds.n_classes)
+    if args.hidden < 1:
+        raise UsageError(f"--hidden: must be >= 1, got {args.hidden}")
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs,
                       batch_size=args.batch_size, momentum=args.momentum,
                       seed=args.seed)
+    ds = load_dataset(_out_path(args.dataset))
+    layout = ModelLayout(ds.dim, args.hidden, ds.n_classes)
     params = train_ce(init_model(layout, seed=args.seed),
                       *ds.split_arrays("train"), cfg)
     save_model(params, _out_path(args.out), epoch=args.epochs)
@@ -142,10 +150,11 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .harness import METHODS, defaults
+    from .harness import METHODS, ExperimentConfig, defaults
     from .pipeline import CRITERIA
     from .probmatrix import PseudoScheme
-    blobs, model = defaults("dataset"), defaults("model")
+    base = ExperimentConfig(dataset={}, forget={}, method="", out_dir="")
+    blobs, model, seeds = defaults("dataset"), base.model, base.seeds
     p = argparse.ArgumentParser(prog="ppunlearn",
                                 description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -156,18 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dim", type=int, default=blobs["dim"])
     g.add_argument("--per-class", type=int, default=blobs["n_per_class"])
     g.add_argument("--spread", type=float, default=blobs["spread"])
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=seeds["data"])
     g.set_defaults(fn=_cmd_generate_data)
 
     t = sub.add_parser("train", help="train the original classifier")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--hidden", type=int, default=model["hidden"])
-    t.add_argument("--epochs", type=int, default=40)
+    t.add_argument("--epochs", type=int, default=model["epochs"])
     t.add_argument("--lr", type=float, default=model["lr"])
     t.add_argument("--batch-size", type=int, default=model["batch_size"])
     t.add_argument("--momentum", type=float, default=model["momentum"])
-    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--seed", type=int, default=seeds["model"])
     t.set_defaults(fn=_cmd_train)
 
     u = sub.add_parser("unlearn", help="run an experiment from a JSON config")
@@ -187,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("mia", help="membership inference against a run")
     m.add_argument("--run-dir", required=True)
-    m.add_argument("--repetitions", type=int, default=5)
+    m.add_argument("--repetitions", type=int, default=base.mia["repetitions"])
     m.set_defaults(fn=_cmd_mia)
 
     b = sub.add_parser("bench", help="time the method against retraining")

@@ -143,8 +143,8 @@ def _per_class_splits(labels, n_classes, ratios):
 
 
 def check_blobs(n_classes: int, dim: int, n_per_class: int,
-                spread: float) -> None:
-    """Raise SpecError naming the first size ``gen_blobs`` cannot use."""
+                spread: float, seed: int = 0) -> None:
+    """Raise SpecError naming the first value ``gen_blobs`` cannot use."""
     if n_classes < 2:
         raise SpecError(f"n_classes: must be >= 2, got {n_classes}")
     if dim < 1:
@@ -153,6 +153,8 @@ def check_blobs(n_classes: int, dim: int, n_per_class: int,
         raise SpecError(f"n_per_class: must be >= 10, got {n_per_class}")
     if not 0 < spread < math.inf:
         raise SpecError(f"spread: must be finite and > 0, got {spread}")
+    if seed < 0:
+        raise SpecError(f"seed: must be >= 0, got {seed}")
 
 
 def gen_blobs(n_classes: int, dim: int, n_per_class: int, spread: float,
@@ -162,7 +164,7 @@ def gen_blobs(n_classes: int, dim: int, n_per_class: int, spread: float,
     Means are drawn uniformly from [-3, 3]^dim, points add isotropic normal
     noise scaled by ``spread``.  Split is 70/10/20 per class.
     """
-    check_blobs(n_classes, dim, n_per_class, spread)
+    check_blobs(n_classes, dim, n_per_class, spread, seed)
     rng = np.random.default_rng(seed)
     means = rng.uniform(-3.0, 3.0, size=(n_classes, dim))
     inputs = np.concatenate([

@@ -51,15 +51,15 @@ def _is_number(x) -> bool:
     return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
-def _eta_number(x):
-    """``x``, or the number in "<number>/n" (that number over the train-row
-    count); None for a string of another form."""
+def _is_eta(x) -> bool:
+    """A positive number, or "<positive number>/n" (that number over the
+    train-row count); only checked, as the refine solve reads no step size."""
     if isinstance(x, str) and x.endswith("/n"):
         try:
-            return float(x[:-2])
+            x = float(x[:-2])
         except ValueError:
-            return None
-    return x
+            return False
+    return _is_number(x) and x > 0
 
 
 # JSON kind -> (test, what a value of that kind must be)
@@ -71,7 +71,7 @@ _KINDS = {
     "number": (_is_number, "a number"),
     "positive": (lambda x: _is_number(x) and x > 0, "a positive number"),
     "path": (lambda x: isinstance(x, str) and x != "", "a non-empty string"),
-    "eta": (lambda x: _is_number(_eta_number(x)), "a number or '<number>/n'"),
+    "eta": (_is_eta, "a positive number or '<positive number>/n'"),
 }
 
 
@@ -218,8 +218,7 @@ class RunPlan:
     hidden: int
     model: TrainConfig      # the original's budget: CE loss, model seed
     finetune: TrainConfig   # the fine-tune budget: KL loss, protocol seed
-    refine: RefineConfig    # see ``refine_config`` for its ``eta``
-    eta_per_row: bool       # refine.eta was "<number>/n"
+    refine: RefineConfig    # eta None: refine.eta is only checked
     mia: MiaConfig
     evals: dict             # {"errors": bool, "mia": bool, "timing": bool}
 
@@ -241,12 +240,6 @@ class RunPlan:
         layout = ModelLayout(ds.dim, self.hidden, ds.n_classes)
         return train_ce(init_model(layout, seed=self.model.seed),
                         *ds.split_arrays("train"), self.model)
-
-    def refine_config(self, n_train: int) -> RefineConfig:
-        """The refine settings for a train split of ``n_train`` rows."""
-        if self.eta_per_row:
-            return replace(self.refine, eta=self.refine.eta / n_train)
-        return self.refine
 
     def baseline(self, kind: str) -> BaselineSpec:
         """Retrain gets the original's training budget; the other
@@ -278,8 +271,7 @@ _BUILDERS = {
         loss="cross-entropy"),
     "finetune": lambda f, seeds: TrainConfig(**f, seed=seeds["protocol"],
                                              loss="kl"),
-    "refine": lambda r, seeds: RefineConfig(
-        **dict(r, eta=_eta_number(r["eta"]))),
+    "refine": lambda r, seeds: RefineConfig(r["tol"], r["max_iters"]),
     "mia": lambda m, seeds: MiaConfig(**m, seed=seeds["protocol"]),
     "evals": lambda e, seeds: e,
 }
@@ -323,9 +315,7 @@ def _parse(cfg: ExperimentConfig) -> tuple:
                 problems.append(f"{section}.{exc}")
     if problems:
         return None, problems
-    return RunPlan(cfg, hidden=values["model"]["hidden"],
-                   eta_per_row=isinstance(values["refine"]["eta"], str),
-                   **built), []
+    return RunPlan(cfg, hidden=values["model"]["hidden"], **built), []
 
 
 def _provenance() -> str:
@@ -454,7 +444,7 @@ def _run_method(plan, method, ds, split, original, on_checkpoint=None):
         scheme=plan.scheme,
         finetune=plan.finetune,
         lam=cfg.lam,
-        refine_cfg=plan.refine_config(len(ds.splits["train"])),
+        refine_cfg=plan.refine,
         selection=cfg.selection,
         adaptive_style=cfg.adaptive_style,
     )
@@ -552,6 +542,10 @@ def sweep_axis(cfg: ExperimentConfig, axis: str, values) -> list:
         values = [kind(value) for value in values]
     except ValueError as exc:
         raise UsageError(f"{axis} sweep: {exc}") from exc
+    dirs = [f"{axis}_{value:{dir_format}}" for value in values]
+    shared = [v for v, name in zip(values, dirs) if dirs.count(name) > 1]
+    if shared:
+        raise UsageError(f"{axis} sweep: values {shared} share a run directory")
     children = [replace(cfg, sweep=None, **sets(value)) for value in values]
     # nothing, out_dir included, is used until every child is valid; they
     # share the forget spec and the class sizes, so one split shows it fits
@@ -563,8 +557,8 @@ def sweep_axis(cfg: ExperimentConfig, axis: str, values) -> list:
     parent = Path(cfg.out_dir)
     parent.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, child in zip(values, children):
-        child.out_dir = str(parent / f"{axis}_{value:{dir_format}}")
+    for value, name, child in zip(values, dirs, children):
+        child.out_dir = str(parent / name)
         summary = run_experiment(child)
         rows.append((value,
                      summary.eval_report["retain_error"],

@@ -5,19 +5,20 @@ Two losses are supported: cross-entropy against integer labels, and KL
 divergence from caller-supplied target distributions to the model output
 (the target is the left argument).  Everything runs in float64 and is
 bitwise deterministic for a fixed seed with single-threaded BLAS.  The SGD
-loop runs on the calling thread.  The parameters are one flat vector in
-checkpoint order, the weight tensors being views of it, so a snapshot is one
-copy and a checkpoint one block.  Both SGD loops, this module's and
-NegGrad+'s, keep their velocity and gradients in vectors parallel to it and
-update every weight with one momentum step.  The inputs carry a trailing
-column of ones, so b1 rides in the first layer's GEMMs: the forward pass
-multiplies by the block [w1; b1] and one GEMM writes [dw1; db1].  That is
-bitwise identical to separate bias terms while the GEMM sums its inner
-dimension (the input width + 1 forward, the batch rows for db1) in one
-block.  Each epoch gathers its shuffled rows once into epoch buffers; a step
-reads a contiguous slice of them and writes its activations and gradients
-into one workspace, so it allocates no array and computes no loss.
-Fine-tuning evaluates each epoch's snapshot on one helper thread, one epoch
+loop is an iterator that trains the weights in place on the calling thread.
+The parameters are one flat vector in checkpoint order, the weight tensors
+being views of it, so a snapshot is one copy and a checkpoint one block.
+Both SGD loops, this module's and NegGrad+'s, keep their velocity and
+gradients in vectors parallel to it and update every weight with one
+momentum step.  The inputs carry a trailing column of ones, so b1 rides in
+the first layer's GEMMs: the forward pass multiplies by the block [w1; b1]
+and one GEMM writes [dw1; db1].  That is bitwise identical to separate bias
+terms while the GEMM sums its inner dimension (the input width + 1 forward,
+the batch rows for db1) in one block.  Each epoch gathers its shuffled rows
+once into epoch buffers; a step reads a contiguous slice of them and writes
+its activations and gradients into one workspace, so it allocates no array
+and computes no loss.  Fine-tuning measures the starting model and each
+snapshot with one function, a snapshot on one helper thread, one epoch
 behind, on a copy of the weights, so the overlap changes no result.
 """
 
@@ -102,6 +103,8 @@ class TrainConfig:
             raise UsageError(f"lr: must be finite and > 0, got {self.lr}")
         if self.epochs < 0:
             raise UsageError(f"epochs: must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise UsageError(f"seed: must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size: must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
@@ -291,17 +294,15 @@ def _momentum_step(flat, vel, g, cfg) -> None:
     flat += vel
 
 
-def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
-    """Shared mini-batch SGD loop; calls ``after_epoch(epoch, params)``.
+def _sgd_epochs(params, X, T, cfg, kind, row_weights):
+    """Mini-batch SGD on ``params``, in place; yields each finished epoch.
 
-    The run trains and returns a copy of ``params``; each step makes one
-    momentum update of its ``flat``.  The inputs get their column of ones
-    once per run, unless they carry it already.  Each epoch gathers its
-    shuffled inputs, targets and row weights once into epoch buffers, and
-    each step reads a contiguous slice of them and writes into one workspace
-    that the run allocates up front.
+    Each step makes one momentum update of ``params.flat``.  The inputs get
+    their column of ones once per run, unless they carry it already.  Each
+    epoch gathers its shuffled inputs, targets and row weights once into
+    epoch buffers, and each step reads a contiguous slice of them and writes
+    into one workspace that the run allocates up front.
     """
-    params = params.copy()
     vel = np.zeros_like(params.flat)
     rng = np.random.default_rng(cfg.seed)
     X = _with_ones(params, X)
@@ -322,9 +323,7 @@ def _sgd_epochs(params, X, T, cfg, kind, row_weights, after_epoch=None):
             bw = None if row_weights is None else rws[batch]
             _loss_and_grads(params, xs[batch], ts[batch], kind, bw, ws)
             _momentum_step(params.flat, vel, ws.g, cfg)
-        if after_epoch is not None:
-            after_epoch(epoch, params)
-    return params
+        yield epoch
 
 
 def train_ce(params: ModelParams, inputs, labels, cfg: TrainConfig) -> ModelParams:
@@ -341,7 +340,10 @@ def train_ce(params: ModelParams, inputs, labels, cfg: TrainConfig) -> ModelPara
                         f"[{y.min()}, {y.max()}]")
     T = np.zeros((X.shape[0], K))
     T[np.arange(X.shape[0]), y] = 1.0
-    return _sgd_epochs(params, X, T, cfg, "cross-entropy", None)
+    params = params.copy()
+    for _ in _sgd_epochs(params, X, T, cfg, "cross-entropy", None):
+        pass
+    return params
 
 
 def kl_loss(params: ModelParams, inputs, targets: ProbMatrix,
@@ -377,12 +379,12 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
 
     The inputs, then the rows of every subset given as an input matrix, are
     copied once into one matrix with the column of ones; the SGD reads its
-    leading rows.  One forward pass over it, and no backward pass, measures
-    ``params`` before training and each snapshot: the loss reads the train
-    rows' logits, and each subset the logits at its positions.  Each
-    snapshot is evaluated on one helper thread while the calling thread runs
-    the next epoch's SGD; entries are completed on the calling thread, in
-    epoch order.
+    leading rows.  One function measures ``params`` before training (the
+    loss and the drift references) and each snapshot, with one forward pass
+    and no backward pass: the loss reads the train rows' logits, and each
+    subset the logits at its positions.  Each snapshot is evaluated on one
+    helper thread while the calling thread runs the next epoch's SGD;
+    entries are completed on the calling thread, in epoch order.
 
     Returns a CheckpointSet holding the entries the default ``on_entry``
     collected, one per epoch (none with a consumer of the caller's own);
@@ -406,8 +408,8 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
         row_weights = np.asarray(row_weights, dtype=np.float64)
         if row_weights.shape != (X.shape[0],):
             raise ShapeError("row_weights must have one entry per input row")
-        if row_weights.min() <= 0:
-            raise UsageError("row_weights must be positive")
+        if not (row_weights.min() > 0 and row_weights.max() < math.inf):
+            raise UsageError("row_weights must be finite and positive")
     end = n = X.shape[0]
     sets, blocks = {}, []
     for name, (rows, y) in (eval_sets or {}).items():
@@ -437,61 +439,51 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     out = (np.empty((end, params.layout.hidden)),
            np.empty((end, params.layout.n_classes)))
 
-    def measure(p, names):
-        """Loss plus copies of the named subsets' logits, from one pass."""
-        _, logits = _forward(p, X, out)
-        return (_mean_loss(_softmax(logits[:n]), T, w, "kl"),
-                {name: logits[sets[name][0]] for name in names})
-
-    drift = [name for name, (_, y) in sets.items() if y is None]
-    initial_loss, start = measure(params, drift)
-    refs = {name: ProbMatrix(_softmax(start[name])) for name in drift}
-
     def evaluate(p):
-        """A snapshot's metrics, each drift subset's outputs in place of its
-        divergence."""
+        """``p``'s metrics from one pass, each drift subset's outputs in
+        place of its divergence."""
         # call nothing perfbench/spans.py wraps; spans from here would misnest
-        loss, logits = measure(p, sets)
-        metrics = {"kl_loss": loss}
-        for name, (_, y) in sets.items():
+        _, logits = _forward(p, X, out)
+        metrics = {"kl_loss": _mean_loss(_softmax(logits[:n]), T, w, "kl")}
+        for name, (rows, y) in sets.items():
             if y is None:
-                metrics[name] = ProbMatrix(_softmax(logits[name]))
+                metrics[name] = ProbMatrix(_softmax(logits[rows]))
             else:
-                wrong = logits[name].argmax(axis=1) != y
+                wrong = logits[rows].argmax(axis=1) != y
                 metrics[name] = 100.0 * float(np.mean(wrong))
         return metrics
 
+    start = evaluate(params)
+    refs = {name: start[name] for name, (_, y) in sets.items() if y is None}
     entries = []
     if on_entry is None:
         on_entry = entries.append
 
     def finish(epoch, p, evaluation):
         metrics = evaluation.result()
-        for name in drift:
-            metrics[name] = float(kl_rows(metrics[name], refs[name]).mean())
+        for name, ref in refs.items():
+            metrics[name] = float(kl_rows(metrics[name], ref).mean())
         on_entry(CheckpointEntry(epoch, p, metrics))
 
     # imported here, not at the top: it loads logging, which would add to
     # the import time of every ppunlearn process
     from concurrent.futures import ThreadPoolExecutor
 
+    params = params.copy()
     # the next epoch's SGD overlaps the evaluation of this one's snapshot;
     # leaving the block joins the worker, also when either thread raised
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = []
-
-        def snapshot(epoch, p):
+        pending = None
+        for epoch in _sgd_epochs(params, X[:n], T, cfg, "kl", row_weights):
             # the worker runs the previous snapshot first anyway; completing
             # it before submitting this one raises its error without delay
             if pending:
-                finish(*pending.pop())
-            p = p.copy()
-            pending.append((epoch, p, pool.submit(evaluate, p)))
-
-        _sgd_epochs(params, X[:n], T, cfg, "kl", row_weights, snapshot)
+                finish(*pending)
+            p = params.copy()
+            pending = (epoch, p, pool.submit(evaluate, p))
         if pending:
-            finish(*pending.pop())
-    return CheckpointSet(entries, initial_loss=initial_loss)
+            finish(*pending)
+    return CheckpointSet(entries, initial_loss=start["kl_loss"])
 
 
 def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:

@@ -58,8 +58,8 @@ class UnlearnTask:
             raise UsageError(f"unknown selection criterion {self.selection!r}")
         if self.adaptive_style not in self.ADAPTIVE_STYLES:
             raise UsageError(f"unknown adaptive style {self.adaptive_style!r}")
-        if self.lam <= 0:
-            raise UsageError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise UsageError(f"lambda must be finite and > 0, got {self.lam}")
         if self.finetune.loss != "kl":
             raise UsageError("fine-tuning config must use the KL loss")
         if self.style == "privacy" and self.refine_cfg is None:

@@ -51,8 +51,8 @@ class RefineProblem:
         combined = np.concatenate([self.forget_rows, self.retain_rows])
         if not np.array_equal(np.sort(combined), np.arange(n)):
             raise UsageError("forget and retain rows must partition all rows")
-        if self.lam <= 0:
-            raise UsageError(f"retain weight must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise UsageError(f"lam: must be finite and > 0, got {self.lam}")
         if self.mass is None:
             raise UsageError("a class-mass vector is required")
         self.mass = np.asarray(self.mass, dtype=np.float64)
@@ -97,8 +97,8 @@ class RefineConfig:
     warm_start: ProbMatrix | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise UsageError(f"tol: must be > 0, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise UsageError(f"tol: must be finite and > 0, got {self.tol}")
         if self.max_iters < 1:
             raise UsageError("max_iters: must be >= 1 (refinement needs "
                              f"max_iters >= 1, got {self.max_iters})")

@@ -85,8 +85,7 @@ class TestConfig:
         assert plan.finetune == TrainConfig(0.05, 20, 32, 0.9, seed=5,
                                             loss="kl")
         assert plan.hidden == 32
-        assert plan.refine_config(100) == RefineConfig(1e-6, 10_000,
-                                                       eta=None)
+        assert plan.refine == RefineConfig(1e-6, 10_000)
         assert plan.mia == MiaConfig(5, seed=5)
         assert plan.forget == ForgetSpec("class", target_class=0, seed=5)
         assert plan.scheme == PseudoScheme("random-softmax", seed=5)
@@ -95,9 +94,12 @@ class TestConfig:
                                           "seed": 3})
         assert plan.evals == {"errors": True, "mia": False, "timing": False}
 
-    def test_eta_per_train_row(self, tmp_path):
-        plan = blob_config(tmp_path, refine={"eta": "4.0/n"}).check()
-        assert plan.refine_config(400).eta == 4.0 / 400
+    def test_eta_is_only_checked(self, tmp_path):
+        # the refine solve reads no step size: a numeric or a per-row eta
+        # passes the check and leaves the refine settings at their defaults
+        for eta in (4.0, "4.0/n"):
+            plan = blob_config(tmp_path, refine={"eta": eta}).check()
+            assert plan.refine == RefineConfig()
 
     def test_readme_documents_the_config(self):
         # the README's minimal config is valid, and its field reference
@@ -468,6 +470,30 @@ class TestCli:
                      str(tmp_path / "m.ckpt"), "--epochs", "5"]) == 0
         assert (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate-data", "--classes", "1"], "--classes"),
+        (["generate-data", "--spread", "nan"], "--spread"),
+        (["generate-data", "--per-class", "5"], "--per-class"),
+        (["generate-data", "--seed", "-1"], "--seed"),
+        (["train", "--hidden", "0"], "--hidden"),
+        (["train", "--lr", "0"], "lr"),
+        (["train", "--batch-size", "0"], "batch_size"),
+        (["train", "--seed", "-1"], "seed"),
+    ])
+    def test_bad_flag_exit_code(self, tmp_path, capsys, argv, flag):
+        # checked before anything is read or written; train's training
+        # flags are named as TrainConfig names them, like a config's fields
+        from ppunlearn.cli import main
+        ds = tmp_path / "ds"
+        assert main(["generate-data", "--out", str(ds), "--per-class",
+                     "20"]) == 0
+        capsys.readouterr()
+        if argv[0] == "train":
+            argv = [*argv, "--dataset", str(ds)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {flag}: must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
     def test_validation_exit_code(self, tmp_path):
         from ppunlearn.cli import main
         bad = tmp_path / "bad.json"
@@ -556,6 +582,10 @@ class TestCli:
         ("dataset", {"kind": "blobs", "spread": float("inf")},
          "dataset.spread"),
         ("lam", float("inf"), "lam"),
+        ("refine", {"eta": 0}, "refine.eta"),
+        ("refine", {"eta": -1}, "refine.eta"),
+        ("refine", {"eta": "0/n"}, "refine.eta"),
+        ("refine", {"eta": "-4/n"}, "refine.eta"),
     ])
     def test_wrong_type_config_exit_code(self, tmp_path, capsys, monkeypatch,
                                          field, value, name):
@@ -755,6 +785,8 @@ class TestCli:
         ("--lam", "1,-2", None, "lam: must be a positive number, not -2.0"),
         ("--seeds", "3,4", {"mode": "selective", "target_class": 0,
                             "count": 500}, "forget: cannot forget 500"),
+        ("--lam", "1,1.0000001", None,
+         "lam sweep: values [1.0, 1.0000001] share a run directory"),
     ])
     def test_invalid_sweep_writes_nothing(self, tmp_path, capsys, axis,
                                           values, forget, says):

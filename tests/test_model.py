@@ -491,6 +491,17 @@ class TestFinetuneKl:
         errors = [e.metrics["train"] for e in cps.entries]
         assert errors[-1] > errors[0] or errors[0] > 50.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_row_weights_must_be_finite_and_positive(self, rng, bad):
+        X = rng.normal(size=(6, 3))
+        weights = np.ones(6)
+        weights[2] = bad
+        with pytest.raises(UsageError, match="finite and positive"):
+            finetune_kl(init_model(ModelLayout(3, 6, 2), seed=4), X,
+                        np.full((6, 2), 0.5),
+                        TrainConfig(lr=0.01, epochs=1, loss="kl"),
+                        row_weights=weights)
+
     def test_epoch_indices_must_increase(self):
         p = init_model(ModelLayout(2, 2, 2), seed=0)
         with pytest.raises(UsageError):
@@ -524,10 +535,10 @@ class TestFrozenSgdLoop:
         params = init_model(ModelLayout(d, hidden, k), seed=3)
         cfg = TrainConfig(lr=0.3, epochs=epochs, batch_size=batch_size,
                           momentum=momentum, seed=7, loss=kind)
-        got, want = [], []
-        out = model_module._sgd_epochs(
-            params, X, T, cfg, kind, w,
-            lambda e, p: got.append((e, p.copy())))
+        want = []
+        out = params.copy()
+        got = [(e, out.copy()) for e in model_module._sgd_epochs(
+            out, X, T, cfg, kind, w)]
         ref = sgd_epochs_reference(params, X, T, cfg, kind, w,
                                    lambda e, p: want.append((e, p.copy())))
         assert [e for e, _ in got] == [e for e, _ in want] == list(

@@ -233,6 +233,13 @@ class TestTaskValidation:
             UnlearnTask(small_blobs, small_split, "bias",
                         PseudoScheme("uniform"), kl_cfg(1), lam=0.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda(self, small_blobs, small_split, lam):
+        # ppu_bias would otherwise train non-finite weights
+        with pytest.raises(UsageError, match="lambda must be finite"):
+            UnlearnTask(small_blobs, small_split, "bias",
+                        PseudoScheme("uniform"), kl_cfg(1), lam=lam)
+
 
 class TestFusedSnapshot:
     """Each trajectory entry equals an independent recomputation from that

@@ -199,6 +199,18 @@ class TestRefine:
             with pytest.raises(UsageError, match="max_iters"):
                 refine(p, RefineConfig(max_iters=max_iters))
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # an infinite tol would stop refine at iteration 1, any residual
+        with pytest.raises(UsageError, match="tol: must be finite"):
+            RefineConfig(tol=tol)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        t = ProbMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(UsageError, match="lam: must be finite"):
+            RefineProblem(t, [0], [1], lam, np.array([1.0, 1.0]))
+
     def test_residual_non_increasing_after_transient(self, rng):
         for _ in range(10):
             p = random_instance(rng)
