@@ -382,7 +382,10 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     leading rows.  One function measures ``params`` before training (the
     loss and the drift references) and each snapshot, with one forward pass
     and no backward pass: the loss reads the train rows' logits, and each
-    subset the logits at its positions.  Each snapshot is evaluated on one
+    subset the logits at its positions.  The pass runs in row blocks that
+    reuse one activation buffer, so it holds the logits of every row but
+    the activations of one block; each block is tall enough to round as
+    its rows of an unblocked pass do.  Each snapshot is evaluated on one
     helper thread while the calling thread runs the next epoch's SGD;
     entries are completed on the calling thread, in epoch order.
 
@@ -393,6 +396,9 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     if cfg.loss != "kl":
         raise UsageError(f"finetune_kl requires loss='kl', got {cfg.loss!r}")
     X = _check_inputs(params, inputs)
+    if X.shape[0] == 0:
+        raise ShapeError(f"inputs of shape {X.shape} hold no row to "
+                         "fine-tune on")
     if not isinstance(targets, ProbMatrix):
         targets = ProbMatrix(targets)
     if targets.n_rows != X.shape[0]:
@@ -434,16 +440,24 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
     # one copy with the column of ones: the train rows, which the SGD reads,
     # then the rows of every input-matrix subset
     X = _with_ones(params, X, *blocks)
-    # every pass writes into the same buffers: fresh arrays of this size
-    # would each be mapped from the OS and fault their pages in
-    out = (np.empty((end, params.layout.hidden)),
-           np.empty((end, params.layout.n_classes)))
+    # each pass runs in row blocks, the remainder joining the last, that
+    # share one activation buffer and write their rows of one logits array.
+    # A block keeps rows * hidden * K above 10**6, where OpenBLAS computes
+    # the second GEMM as in one pass over every row (README, "Notes on
+    # scale and concurrency"), and no fewer rows than 2 MiB of activations
+    # hold, about one core's L2 cache
+    h, k = params.layout.hidden, params.layout.n_classes
+    size = max(10**6 // (h * k) + 1, 2**21 // (8 * h))
+    bounds = [*range(0, max(end // size, 1) * size, size), end]
+    a1 = np.empty((end - bounds[-2], h))
+    logits = np.empty((end, k))
 
     def evaluate(p):
         """``p``'s metrics from one pass, each drift subset's outputs in
         place of its divergence."""
         # call nothing perfbench/spans.py wraps; spans from here would misnest
-        _, logits = _forward(p, X, out)
+        for lo, hi in zip(bounds, bounds[1:]):
+            _forward(p, X[lo:hi], (a1[:hi - lo], logits[lo:hi]))
         metrics = {"kl_loss": _mean_loss(_softmax(logits[:n]), T, w, "kl")}
         for name, (rows, y) in sets.items():
             if y is None:

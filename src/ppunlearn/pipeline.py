@@ -159,10 +159,17 @@ class _RunningSelection:
 def _train_positions(ds: Dataset, split: SplitResult):
     """Positions of forget/retain rows inside the train-split row order."""
     train = ds.splits["train"]
-    pos = {int(g): i for i, g in enumerate(train)}
-    fpos = np.asarray([pos[int(g)] for g in split.forget_idx], dtype=np.int64)
-    rpos = np.asarray([pos[int(g)] for g in split.retain_idx], dtype=np.int64)
-    return train, fpos, rpos
+    # each dataset row's train position, -1 off the train split; the extra
+    # last entry answers the rows outside the dataset
+    inverse = np.full(ds.n + 1, -1, dtype=np.int64)
+    inverse[train] = np.arange(train.size)
+    rows = np.concatenate([split.forget_idx, split.retain_idx])
+    pos = inverse[np.where((rows >= 0) & (rows < ds.n), rows, -1)]
+    stray = rows[pos < 0]
+    if stray.size:
+        raise UsageError(f"{stray.size} split rows lie outside the train "
+                         f"split: {stray[:10].tolist()}")
+    return train, pos[:split.n_forget], pos[split.n_forget:]
 
 
 def _run_ppu(source: ModelParams, task: UnlearnTask,

@@ -386,6 +386,60 @@ class TestFinetuneKl:
         snaps = [e.params for e in cps.entries]
         assert all(a is not b and a.w1 is not b.w1
                    for a, b in zip(snaps, snaps[1:]))
+        self._assert_recomputed(params, X, targets, weights, eval_sets, cps)
+
+    def test_blocked_snapshots_match_synchronous_recomputation(self, rng):
+        # 1800 rows at 48 -> 512 -> 5 make blocks of 512, 512 and 776 rows;
+        # every positional subset a drift is measured on, and the train rows,
+        # recompute in passes of over 390 rows, which round as their slice
+        # of a taller pass does
+        X = rng.normal(size=(1500, 48))
+        y = rng.integers(0, 5, size=1500)
+        X_test = rng.normal(size=(300, 48))
+        rows = rng.permutation(1500)[:450]
+        params = init_model(ModelLayout(48, 512, 5), seed=4)
+        targets = ProbMatrix(rng.dirichlet(np.ones(5), size=1500))
+        weights = rng.uniform(0.5, 2.0, 1500)
+        eval_sets = {"forget": (rows, y[rows]),
+                     "test": (X_test, rng.integers(0, 5, size=300)),
+                     "drift": (rows, None), "retain_kl": (np.arange(900), None)}
+        cfg = TrainConfig(lr=0.05, epochs=3, batch_size=64, seed=1, loss="kl")
+        cps = finetune_kl(params, X, targets, cfg, eval_sets=eval_sets,
+                          row_weights=weights)
+        assert cps.initial_loss == kl_loss(params, X, targets, weights)
+        assert [e.epoch for e in cps.entries] == [1, 2, 3]
+        self._assert_recomputed(params, X, targets, weights, eval_sets, cps)
+
+    @pytest.mark.parametrize("k, bound", [(5, 512), (2, 977)])
+    def test_snapshot_pass_runs_in_row_blocks(self, rng, monkeypatch, k,
+                                              bound):
+        # the bound is the larger of 10**6 / (hidden * K) + 1 rows (391 at 5
+        # classes, 977 at 2) and 2 MiB of activations (512 rows); every pass
+        # cuts the 2900 rows alike and reuses one activation buffer
+        calls = []
+        real = model_module._forward
+
+        def recording(params, X, out=None):
+            calls.append((X.shape[0], out and out[0].ctypes.data))
+            return real(params, X, out)
+
+        monkeypatch.setattr(model_module, "_forward", recording)
+        X = rng.normal(size=(2600, 48))
+        params = init_model(ModelLayout(48, 512, k), seed=4)
+        cfg = TrainConfig(lr=0.05, epochs=2, batch_size=32, seed=1, loss="kl")
+        finetune_kl(params, X, np.full((2600, k), 1.0 / k), cfg,
+                    eval_sets={"test": (rng.normal(size=(300, 48)),
+                                        rng.integers(0, k, size=300))})
+        blocks = [rows for rows, _ in calls if rows > cfg.batch_size]
+        per_pass = len(blocks) // (cfg.epochs + 1)
+        assert per_pass > 1
+        assert blocks == blocks[:per_pass] * (cfg.epochs + 1)
+        assert sum(blocks[:per_pass]) == 2900
+        assert all(bound <= rows < 2 * bound for rows in blocks)
+        assert len({ptr for rows, ptr in calls if rows > cfg.batch_size}) == 1
+
+    @staticmethod
+    def _assert_recomputed(params, X, targets, weights, eval_sets, cps):
         for e in cps.entries:
             p = e.params
             expected = {"kl_loss": kl_loss(p, X, targets, weights)}
@@ -463,6 +517,14 @@ class TestFinetuneKl:
         with pytest.raises(TargetError):
             finetune_kl(params, X, np.full((4, 2), 0.3),
                         TrainConfig(lr=0.01, epochs=1, loss="kl"))
+
+    @pytest.mark.parametrize("weights", [None, np.ones(0)])
+    def test_zero_train_rows_rejected(self, weights):
+        with pytest.raises(ShapeError, match=r"inputs of shape \(0, 3\)"):
+            finetune_kl(init_model(ModelLayout(3, 4, 2), seed=0),
+                        np.zeros((0, 3)), np.zeros((0, 2)),
+                        TrainConfig(lr=0.1, epochs=1, loss="kl"),
+                        row_weights=weights)
 
     def test_row_count_mismatch(self, rng):
         X = rng.normal(size=(4, 3))

@@ -241,6 +241,40 @@ class TestTaskValidation:
                         PseudoScheme("uniform"), kl_cfg(1), lam=lam)
 
 
+class TestTrainPositions:
+    def test_positions_in_an_unsorted_train_split(self, small_blobs,
+                                                  small_split):
+        from ppunlearn.data import Dataset
+        from ppunlearn.pipeline import _train_positions
+        order = np.random.default_rng(4).permutation(
+            small_blobs.splits["train"].size)
+        splits = dict(small_blobs.splits,
+                      train=small_blobs.splits["train"][order])
+        ds = Dataset(small_blobs.inputs, small_blobs.labels, splits,
+                     small_blobs.n_classes)
+        train, fpos, rpos = _train_positions(ds, small_split)
+        assert np.array_equal(train, splits["train"])
+        position = {int(g): i for i, g in enumerate(train)}
+        for pos, rows in [(fpos, small_split.forget_idx),
+                          (rpos, small_split.retain_idx)]:
+            assert pos.dtype == np.int64
+            assert pos.tolist() == [position[int(g)] for g in rows]
+
+    @pytest.mark.parametrize("where", ["test", "past the end", "negative"])
+    def test_rows_outside_the_train_split_rejected(
+            self, small_blobs, small_split, small_model, where):
+        from ppunlearn.data import SplitResult
+        stray = {"test": int(small_blobs.splits["test"][0]),
+                 "past the end": small_blobs.n, "negative": -1}[where]
+        split = SplitResult(np.append(small_split.forget_idx, stray),
+                            small_split.retain_idx)
+        task = UnlearnTask(small_blobs, split, "bias",
+                           PseudoScheme("uniform"), kl_cfg(1))
+        with pytest.raises(UsageError, match=rf"outside the train split: "
+                                             rf"\[{stray}\]"):
+            ppu_bias(small_model, task)
+
+
 class TestFusedSnapshot:
     """Each trajectory entry equals an independent recomputation from that
     epoch's checkpoint with the public evaluation functions."""
