@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, UsageError
+from .errors import InsufficientDataError, ShapeError, UsageError
 from .model import ModelParams, forward_probs, predict_labels
 from .probmatrix import FLOOR
 
@@ -68,10 +68,19 @@ class TimingRecord:
 def error_rate(params: ModelParams, inputs, labels) -> float:
     """Misclassification percentage (100 * error) under argmax prediction."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels)
     if inputs.shape[0] == 0:
         raise UsageError("error_rate needs a non-empty subset")
+    labels = _labels_for(inputs, labels)
     return 100.0 * float(np.mean(predict_labels(params, inputs) != labels))
+
+
+def _labels_for(inputs, labels) -> np.ndarray:
+    """``labels`` as an array, checked to hold one label per input row."""
+    labels = np.asarray(labels)
+    if labels.shape != np.shape(inputs)[:1]:
+        raise ShapeError(f"labels of shape {labels.shape} for "
+                         f"{np.shape(inputs)[0]} input rows")
+    return labels
 
 
 def evaluate_model(params: ModelParams, ds, split) -> EvalReport:
@@ -90,7 +99,7 @@ def evaluate_model(params: ModelParams, ds, split) -> EvalReport:
 def example_losses(params: ModelParams, inputs, labels) -> np.ndarray:
     """Per-example cross-entropy of the true label."""
     probs = forward_probs(params, inputs).values
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _labels_for(probs, labels).astype(np.int64)
     p_true = np.maximum(probs[np.arange(len(labels)), labels], FLOOR)
     return -np.log(p_true)
 

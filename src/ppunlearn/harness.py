@@ -26,7 +26,8 @@ from .baselines import KINDS, BaselineSpec, run_baseline
 from .data import (Dataset, ForgetSpec, check_blobs, gen_blobs, load_csv,
                    load_dataset, make_forget_split, save_dataset)
 from .errors import DataError, SpecError, UsageError
-from .evaluate import MiaConfig, evaluate_model, mia_attack, time_stage
+from .evaluate import (MiaConfig, error_rate, evaluate_model, mia_attack,
+                       time_stage)
 # bound under these names, which tracing wraps to time artifact I/O
 from .fileio import read_json as _read_json, write_json as _write_json
 from .model import (ModelLayout, ModelParams, TrainConfig, init_model,
@@ -407,8 +408,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
             save_model(entry.params,
                        ckpt_dir / f"epoch_{entry.epoch:03d}.ckpt",
                        epoch=entry.epoch,
-                       error_rates={k: entry.metrics[k]
-                                    for k in ERROR_METRICS})
+                       error_rates={k: v for k, v in entry.metrics.items()
+                                    if k in ERROR_METRICS})
 
         report = _run_method(plan, cfg.method, ds, split, original,
                              write_checkpoint)
@@ -467,15 +468,22 @@ def _mia_report(mia: MiaConfig, ds, split, params):
                       ds.split_arrays("test"), mia)
 
 
+def _run_data(run_dir: Path, *stages):
+    """A run directory's plan, and the dataset and split it holds; once the
+    config is checked, a stage of ``stages`` it lacks raises UsageError."""
+    plan = ExperimentConfig.from_dict(
+        _read_json(run_dir / "config.json")).check()
+    _completed_stages(run_dir, *stages)
+    ds, split = plan.data(load_dataset(run_dir / "dataset"))
+    return plan, ds, split
+
+
 def attack_run(run_dir, repetitions: int):
     """The membership-inference attack on a run's unlearned model, as
     ``_mia_report`` makes it with ``repetitions`` repetitions, from the
     config, dataset and checkpoint the run directory holds."""
     run_dir = Path(run_dir)
-    plan = ExperimentConfig.from_dict(
-        _read_json(run_dir / "config.json")).check()
-    _completed_stages(run_dir, "method")
-    ds, split = plan.data(load_dataset(run_dir / "dataset"))
+    plan, ds, split = _run_data(run_dir, "method")
     params, _ = load_model(run_dir / "unlearned.ckpt")
     return _mia_report(replace(plan.mia, repetitions=repetitions), ds, split,
                        params)
@@ -588,16 +596,25 @@ def _write_csv(path, header: str, lines) -> Path:
 def emit_plot_data(run_dir) -> list:
     """Write CSV series for the per-epoch error curves and timing records.
 
+    The forget and retain errors of each epoch are measured on the saved
+    split's rows with that epoch's checkpoint, ``checkpoints/epoch_NNN.ckpt``.
     Byte-identical on re-emission for an unchanged run directory.  Raises
     UsageError naming the missing stage when the run is incomplete.
     """
     run_dir = Path(run_dir)
     _completed_stages(run_dir, "method", "eval")
-    trajectory = _read_record(run_dir / "method.json").get("trajectory", [])
-    written = [_write_csv(run_dir / f"plot_{metric}_error.csv",
-                          f"epoch,{metric}_error",
-                          [f"{e['epoch']},{e[metric]:.10g}" for e in trajectory])
-               for metric in ("forget", "retain")]
+    _, ds, split = _run_data(run_dir)
+    epochs = [e["epoch"] for e in
+              _read_record(run_dir / "method.json").get("trajectory", [])]
+    models = [load_model(run_dir / "checkpoints" / f"epoch_{k:03d}.ckpt")[0]
+              for k in epochs]
+    written = []
+    for metric, rows in (("forget", split.forget_idx),
+                         ("retain", split.retain_idx)):
+        x, y = ds.arrays_at(rows)
+        written.append(_write_csv(
+            run_dir / f"plot_{metric}_error.csv", f"epoch,{metric}_error",
+            [f"{k},{error_rate(p, x, y):.10g}" for k, p in zip(epochs, models)]))
     timings = load_summary(run_dir).timings
     if timings:
         written.append(_write_csv(

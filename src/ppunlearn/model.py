@@ -17,9 +17,9 @@ terms while the GEMM sums its inner dimension (the input width + 1 forward,
 the batch rows for db1) in one block.  Each epoch gathers its shuffled rows
 once into epoch buffers; a step reads a contiguous slice of them and writes
 its activations and gradients into one workspace, so it allocates no array
-and computes no loss.  Fine-tuning measures the starting model and each
-snapshot with one function, a snapshot on one helper thread, one epoch
-behind, on a copy of the weights, so the overlap changes no result.
+and computes no loss.  One function, ``measure``, evaluates a model on
+chosen rows with one forward pass; fine-tuning runs it after each epoch, on
+the calling thread, over only the rows its caller's metrics read.
 """
 
 from __future__ import annotations
@@ -160,15 +160,14 @@ def _softmax(logits: np.ndarray, out=None, col=None) -> np.ndarray:
     return e
 
 
-def _with_ones(params: ModelParams, X: np.ndarray, *more) -> np.ndarray:
-    """The rows of X, then of any ``more`` matrices, in one copy with a
-    trailing column of ones, which multiplies b1 in the first layer's GEMMs;
-    inputs that already carry it come back as they are."""
+def _with_ones(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """The rows of X in a copy with a trailing column of ones, which
+    multiplies b1 in the first layer's GEMMs; inputs that already carry it
+    come back as they are."""
     if X.shape[1] != params.layout.d_in:
         return X
-    blocks = (X, *more)
-    Xa = np.empty((sum(b.shape[0] for b in blocks), X.shape[1] + 1))
-    np.concatenate(blocks, out=Xa[:, :-1])
+    Xa = np.empty((X.shape[0], X.shape[1] + 1))
+    Xa[:, :-1] = X
     Xa[:, -1] = 1.0
     return Xa
 
@@ -346,14 +345,39 @@ def train_ce(params: ModelParams, inputs, labels, cfg: TrainConfig) -> ModelPara
     return params
 
 
+def measure(params: ModelParams, X, subsets, loss=None) -> dict:
+    """``params``' metrics on the inputs ``X`` from one forward pass, whose
+    activations are freed before any metric is read.
+
+    ``subsets`` maps names to ``(rows, ref)``: ``rows`` are positions into
+    ``X``, and ``ref`` their labels, for the error percentage, or a
+    ProbMatrix of reference outputs, for the mean KL divergence of the
+    outputs from it.  ``loss``, a pair of a target ProbMatrix and row
+    weights for every row, adds ``kl_loss``, as ``_loss_and_grads`` has it.
+    """
+    logits = _forward(params, X)[1]
+    metrics = {}
+    if loss is not None:
+        targets, row_weights = loss
+        metrics["kl_loss"] = _mean_loss(
+            _softmax(logits), targets.values,
+            _normalized_weights(logits.shape[0], row_weights), "kl")
+    for name, (rows, ref) in subsets.items():
+        if isinstance(ref, ProbMatrix):
+            out = ProbMatrix(_softmax(logits[rows]))
+            metrics[name] = float(kl_rows(out, ref).mean())
+        else:
+            wrong = logits[rows].argmax(axis=1) != ref
+            metrics[name] = 100.0 * float(np.mean(wrong))
+    return metrics
+
+
 def kl_loss(params: ModelParams, inputs, targets: ProbMatrix,
             row_weights=None) -> float:
     """Weighted mean KL(target || model output) over all rows (forward pass
     only; the same value ``_loss_and_grads`` returns)."""
     X = _check_inputs(params, inputs)
-    _, logits = _forward(params, X)
-    return _mean_loss(_softmax(logits), targets.values,
-                      _normalized_weights(X.shape[0], row_weights), "kl")
+    return measure(params, X, {}, (targets, row_weights))["kl_loss"]
 
 
 def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
@@ -363,48 +387,38 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
 
     Args:
         targets: ProbMatrix (or array of stochastic rows) aligned with inputs.
-        eval_sets: optional {name: (rows, y)}, where ``rows`` is a 1-D array
-            of positions into ``inputs`` or an input matrix of its own, and
-            ``y`` holds one label per row.  Each snapshot records the error
-            percentage on every named subset; with ``y=None`` it records
-            instead the mean KL divergence of the snapshot's outputs on those
-            rows from the outputs of ``params``.
+        eval_sets: optional {name: (rows, ref)}, where ``rows`` is a 1-D
+            array of positions into ``inputs`` and ``ref`` holds either one
+            label per row or a ProbMatrix of reference outputs, one row per
+            position.  Each snapshot records the error percentage on every
+            labelled subset and, on every other, the mean KL divergence of
+            its outputs from ``ref``.
         row_weights: optional per-row positive weights for the loss (used to
             weight retain rows by lambda); normalized internally.
-        on_entry: called with each completed CheckpointEntry, on the calling
-            thread and in epoch order; the default appends it to the
-            returned set.  A consumer that keeps only the entries it needs
-            bounds the weight copies held to a few, whatever the epoch
-            count.
+        on_entry: called with each completed CheckpointEntry, in epoch
+            order; the default appends it to the returned set.  A consumer
+            that keeps only the entries it needs bounds the weight copies
+            held to a few, whatever the epoch count.
 
-    The inputs, then the rows of every subset given as an input matrix, are
-    copied once into one matrix with the column of ones; the SGD reads its
-    leading rows.  One function measures ``params`` before training (the
-    loss and the drift references) and each snapshot, with one forward pass
-    and no backward pass: the loss reads the train rows' logits, and each
-    subset the logits at its positions.  The pass runs in row blocks that
-    reuse one activation buffer, so it holds the logits of every row but
-    the activations of one block; each block is tall enough to round as
-    its rows of an unblocked pass do.  Each snapshot is evaluated on one
-    helper thread while the calling thread runs the next epoch's SGD;
-    entries are completed on the calling thread, in epoch order.
+    The subsets' rows are gathered once, with the column of ones, and after
+    each epoch ``measure`` evaluates a copy of the weights on them and no
+    other row, on the calling thread.
 
     Returns a CheckpointSet holding the entries the default ``on_entry``
     collected, one per epoch (none with a consumer of the caller's own);
-    ``initial_loss`` holds the full-data loss before any update.
+    ``initial_loss`` holds ``kl_loss`` of ``params`` before any update.
     """
     if cfg.loss != "kl":
         raise UsageError(f"finetune_kl requires loss='kl', got {cfg.loss!r}")
     X = _check_inputs(params, inputs)
-    if X.shape[0] == 0:
+    n = X.shape[0]
+    if n == 0:
         raise ShapeError(f"inputs of shape {X.shape} hold no row to "
                          "fine-tune on")
     if not isinstance(targets, ProbMatrix):
         targets = ProbMatrix(targets)
-    if targets.n_rows != X.shape[0]:
-        raise ShapeError(
-            f"{targets.n_rows} target rows for {X.shape[0]} inputs"
-        )
+    if targets.n_rows != n:
+        raise ShapeError(f"{targets.n_rows} target rows for {n} inputs")
     if targets.n_classes != params.layout.n_classes:
         raise ShapeError(
             f"targets have {targets.n_classes} classes, model has "
@@ -412,92 +426,38 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
         )
     if row_weights is not None:
         row_weights = np.asarray(row_weights, dtype=np.float64)
-        if row_weights.shape != (X.shape[0],):
+        if row_weights.shape != (n,):
             raise ShapeError("row_weights must have one entry per input row")
         if not (row_weights.min() > 0 and row_weights.max() < math.inf):
             raise UsageError("row_weights must be finite and positive")
-    end = n = X.shape[0]
-    sets, blocks = {}, []
-    for name, (rows, y) in (eval_sets or {}).items():
+    sets, picked, end = {}, [np.zeros(0, dtype=np.int64)], 0
+    for name, (rows, ref) in (eval_sets or {}).items():
         rows = np.asarray(rows)
-        if rows.ndim != 1:
-            # an input matrix: its rows follow the train rows in the copy
-            blocks.append(_check_inputs(params, rows))
-            rows = np.arange(end, end + blocks[-1].shape[0])
-            end += rows.size
-        elif rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
-                            or rows.max() >= n):
-            raise ShapeError(f"eval positions must be integers in [0, {n})")
-        if y is not None:
-            y = np.asarray(y)
-            if y.shape != rows.shape:
-                raise ShapeError(f"eval set {name!r}: labels of shape "
-                                 f"{y.shape} for {rows.size} rows")
-        sets[name] = (rows, y)
+        if rows.ndim != 1 or rows.size and (
+                rows.dtype.kind not in "iu" or rows.min() < 0
+                or rows.max() >= n):
+            raise ShapeError(f"eval set {name!r}: positions must be a 1-D "
+                             f"array of integers in [0, {n})")
+        ref = ref if isinstance(ref, ProbMatrix) else np.asarray(ref)
+        shape = (ref.n_rows,) if isinstance(ref, ProbMatrix) else ref.shape
+        if shape != rows.shape:
+            raise ShapeError(f"eval set {name!r}: reference of shape {shape} "
+                             f"for {rows.size} rows")
+        sets[name] = (np.arange(end, end + rows.size), ref)
+        picked.append(rows.astype(np.int64))
+        end += rows.size
+    snapshot_rows = _with_ones(params, X[np.concatenate(picked)])
 
-    T = targets.values
-    w = _normalized_weights(n, row_weights)
-    # one copy with the column of ones: the train rows, which the SGD reads,
-    # then the rows of every input-matrix subset
-    X = _with_ones(params, X, *blocks)
-    # each pass runs in row blocks, the remainder joining the last, that
-    # share one activation buffer and write their rows of one logits array.
-    # A block keeps rows * hidden * K above 10**6, where OpenBLAS computes
-    # the second GEMM as in one pass over every row (README, "Notes on
-    # scale and concurrency"), and no fewer rows than 2 MiB of activations
-    # hold, about one core's L2 cache
-    h, k = params.layout.hidden, params.layout.n_classes
-    size = max(10**6 // (h * k) + 1, 2**21 // (8 * h))
-    bounds = [*range(0, max(end // size, 1) * size, size), end]
-    a1 = np.empty((end - bounds[-2], h))
-    logits = np.empty((end, k))
-
-    def evaluate(p):
-        """``p``'s metrics from one pass, each drift subset's outputs in
-        place of its divergence."""
-        # call nothing perfbench/spans.py wraps; spans from here would misnest
-        for lo, hi in zip(bounds, bounds[1:]):
-            _forward(p, X[lo:hi], (a1[:hi - lo], logits[lo:hi]))
-        metrics = {"kl_loss": _mean_loss(_softmax(logits[:n]), T, w, "kl")}
-        for name, (rows, y) in sets.items():
-            if y is None:
-                metrics[name] = ProbMatrix(_softmax(logits[rows]))
-            else:
-                wrong = logits[rows].argmax(axis=1) != y
-                metrics[name] = 100.0 * float(np.mean(wrong))
-        return metrics
-
-    start = evaluate(params)
-    refs = {name: start[name] for name, (_, y) in sets.items() if y is None}
+    initial_loss = kl_loss(params, X, targets, row_weights)
     entries = []
     if on_entry is None:
         on_entry = entries.append
-
-    def finish(epoch, p, evaluation):
-        metrics = evaluation.result()
-        for name, ref in refs.items():
-            metrics[name] = float(kl_rows(metrics[name], ref).mean())
-        on_entry(CheckpointEntry(epoch, p, metrics))
-
-    # imported here, not at the top: it loads logging, which would add to
-    # the import time of every ppunlearn process
-    from concurrent.futures import ThreadPoolExecutor
-
     params = params.copy()
-    # the next epoch's SGD overlaps the evaluation of this one's snapshot;
-    # leaving the block joins the worker, also when either thread raised
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = None
-        for epoch in _sgd_epochs(params, X[:n], T, cfg, "kl", row_weights):
-            # the worker runs the previous snapshot first anyway; completing
-            # it before submitting this one raises its error without delay
-            if pending:
-                finish(*pending)
-            p = params.copy()
-            pending = (epoch, p, pool.submit(evaluate, p))
-        if pending:
-            finish(*pending)
-    return CheckpointSet(entries, initial_loss=start["kl_loss"])
+    for epoch in _sgd_epochs(params, X, targets.values, cfg, "kl",
+                             row_weights):
+        p = params.copy()
+        on_entry(CheckpointEntry(epoch, p, measure(p, snapshot_rows, sets)))
+    return CheckpointSet(entries, initial_loss=initial_loss)
 
 
 def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:

@@ -21,7 +21,7 @@ from .data import Dataset, SplitResult
 from .errors import UsageError
 from .evaluate import error_rate
 from .model import (CheckpointSet, ModelParams, TrainConfig, finetune_kl,
-                    forward_probs)
+                    forward_probs, measure)
 from .probmatrix import PseudoScheme, pseudo_generate, replace_rows
 from .refine import RefineConfig, problem_from_outputs, refine
 
@@ -75,6 +75,10 @@ class UnlearnTask:
 class UnlearnReport:
     """Outcome of a pipeline run: final weights plus the full trail.
 
+    ``trajectory`` holds one record per epoch: its ``epoch`` and what its
+    snapshot measured, the ``forget`` error and, under output-distance,
+    ``retain_kl``.  The selected epoch's record also holds ``kl_loss``, the
+    ``retain`` and ``test`` errors and, in privacy mode, ``retain_kl``.
     ``checkpoints`` holds the selected epoch's snapshot alone, so a run
     keeps a few weight copies whatever its epoch count; a caller that
     persists every epoch's snapshot takes them from ``on_checkpoint`` as
@@ -83,7 +87,7 @@ class UnlearnReport:
 
     params: ModelParams
     selected_epoch: int | None
-    trajectory: list                    # one metrics dict per epoch
+    trajectory: list
     refine_summary: dict | None
     timings: dict
     flags: dict = field(default_factory=dict)
@@ -214,15 +218,14 @@ def _run_ppu(source: ModelParams, task: UnlearnTask,
             method=method, refine_result=refine_result,
         )
 
-    # forget and retain are train rows: the snapshots slice them out of
-    # their pass over X instead of running one of their own
-    eval_sets = {
-        "forget": (fpos, ds.labels[split.forget_idx]),
-        "retain": (rpos, ds.labels[split.retain_idx]),
-        "test": ds.split_arrays("test"),
-    }
+    # the snapshots measure only what the selection reads; the selected
+    # one's other metrics are measured once it is known
+    eval_sets = {"forget": (fpos, ds.labels[split.forget_idx])}
+    subsets = {"retain": (rpos, ds.labels[split.retain_idx])}
     if style == "privacy":
-        eval_sets["retain_kl"] = (rpos, None)
+        subsets["retain_kl"] = (rpos, outputs.take(rpos))
+        if task.selection == "output-distance":
+            eval_sets["retain_kl"] = subsets["retain_kl"]
     weights = np.ones(len(train_idx))
     weights[rpos] = task.lam
 
@@ -249,9 +252,13 @@ def _run_ppu(source: ModelParams, task: UnlearnTask,
     cps = finetune_kl(source, X, targets, task.finetune,
                       eval_sets=eval_sets, row_weights=weights,
                       on_entry=keep)
-    timings["finetune"] = time.perf_counter() - t0
-
+    # one pass over the train rows, then one over the test rows
     entry = selection.entry
+    record = trajectory[entry.epoch - 1]
+    record.update(measure(entry.params, X, subsets, (targets, weights)))
+    xt, yt = ds.split_arrays("test")
+    record.update(measure(entry.params, xt, {"test": (np.arange(len(yt)), yt)}))
+    timings["finetune"] = time.perf_counter() - t0
     return UnlearnReport(
         params=entry.params, selected_epoch=entry.epoch,
         trajectory=trajectory, refine_summary=refine_summary,

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from ppunlearn.errors import InsufficientDataError, UsageError
+from ppunlearn.errors import InsufficientDataError, ShapeError, UsageError
 from ppunlearn.evaluate import (MiaConfig, _fit_logistic_1d, error_rate,
                                 evaluate_model, example_losses, mia_attack,
                                 time_stage)
@@ -28,6 +28,17 @@ class TestErrorRate:
     def test_empty_subset(self, small_model):
         with pytest.raises(UsageError):
             error_rate(small_model, np.empty((0, 8)), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("fn", [error_rate, example_losses])
+    @pytest.mark.parametrize("labels", [[1], np.zeros(9, dtype=int),
+                                        np.zeros((10, 1), dtype=int)])
+    def test_one_label_per_input_row(self, small_blobs, small_model, fn,
+                                     labels):
+        # a single label would broadcast over the rows, and a short list
+        # would score only its prefix
+        xt, _ = small_blobs.split_arrays("test")
+        with pytest.raises(ShapeError, match="for 10 input rows"):
+            fn(small_model, xt[:10], np.asarray(labels))
 
     def test_evaluate_model_counts(self, small_blobs, small_split, small_model):
         rep = evaluate_model(small_model, small_blobs, small_split)

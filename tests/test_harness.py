@@ -221,8 +221,13 @@ class TestRunDirectoryArtifacts:
                 "eta_schedule", "converged"} <= set(record)
 
     def test_checkpoint_sidecars_hold_only_error_rates(self, tmp_path):
+        # under output-distance every snapshot measures retain_kl, a
+        # divergence, beside the one error rate it measures, the forget
+        # error; the selected epoch's other metrics come later
         run_dir = tmp_path / "priv"
-        run_experiment(blob_config(run_dir, method="ppu-privacy"))
+        cfg = blob_config(run_dir, method="ppu-privacy")
+        cfg.selection = "output-distance"
+        run_experiment(cfg)
         trajectory = json.loads((run_dir / "method.json").read_text())[
             "trajectory"]
         assert all("retain_kl" in entry for entry in trajectory)
@@ -230,8 +235,7 @@ class TestRunDirectoryArtifacts:
             sidecar = json.loads((run_dir / "checkpoints" /
                                   f"epoch_{entry['epoch']:03d}.ckpt.json")
                                  .read_text())
-            assert sidecar["error_rates"] == {
-                k: entry[k] for k in ("forget", "retain", "test")}
+            assert sidecar["error_rates"] == {"forget": entry["forget"]}
 
     @pytest.mark.parametrize("method", ["ppu-bias", "ppu-privacy",
                                         "adaptive"])
@@ -261,8 +265,8 @@ class TestRunDirectoryArtifacts:
         for entry in full.entries:
             name = f"epoch_{entry.epoch:03d}.ckpt"
             save_model(entry.params, tmp_path / name, epoch=entry.epoch,
-                       error_rates={k: entry.metrics[k]
-                                    for k in ERROR_METRICS})
+                       error_rates={k: v for k, v in entry.metrics.items()
+                                    if k in ERROR_METRICS})
             for ext in ("", ".json"):
                 assert (run_dir / "checkpoints" / (name + ext)).read_bytes() \
                     == (tmp_path / (name + ext)).read_bytes()
@@ -440,6 +444,25 @@ class TestEmitPlotData:
         first = (run_dir / "plot_forget_error.csv").read_bytes()
         emit_plot_data(run_dir)
         assert (run_dir / "plot_forget_error.csv").read_bytes() == first
+
+    def test_error_curves_come_from_the_checkpoints(self, tmp_path):
+        # the bytes the series held when each epoch's trajectory record
+        # carried its forget and retain errors
+        run_dir = tmp_path / "run"
+        run_experiment(blob_config(run_dir))
+        emit_plot_data(run_dir)
+        assert (run_dir / "plot_forget_error.csv").read_bytes() == (
+            b"epoch,forget_error\n1,0\n2,0\n3,0\n")
+        retain = run_dir / "plot_retain_error.csv"
+        assert retain.read_bytes() == (
+            b"epoch,retain_error\n1,0\n2,1.204819277\n3,0.7228915663\n")
+        # epoch 2's file now holds epoch 3's weights
+        ckpts = run_dir / "checkpoints"
+        (ckpts / "epoch_002.ckpt").write_bytes(
+            (ckpts / "epoch_003.ckpt").read_bytes())
+        emit_plot_data(run_dir)
+        assert retain.read_bytes() == (
+            b"epoch,retain_error\n1,0\n2,0.7228915663\n3,0.7228915663\n")
 
     def test_incomplete_run_explains_missing_stage(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -251,19 +251,19 @@ class TestFinetuneKl:
         targets = forward_probs(params, X)
         cfg = TrainConfig(lr=0.01, epochs=5, batch_size=8, seed=1, loss="kl")
         cps = finetune_kl(params, X, targets, cfg,
-                          eval_sets={"train": (X, y),
-                                     "drift": (np.arange(24), None)})
+                          eval_sets={"train": (np.arange(24), y),
+                                     "drift": (np.arange(24), targets)})
         assert len(cps) == 5
         assert [e.epoch for e in cps.entries] == [1, 2, 3, 4, 5]
         for e in cps.entries:
-            assert set(e.metrics) == {"kl_loss", "train", "drift"}
+            assert set(e.metrics) == {"train", "drift"}
 
     def test_on_entry_streams_the_default_entries(self, rng):
         X = rng.normal(size=(24, 3))
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         targets = forward_probs(params, X)
         cfg = TrainConfig(lr=0.5, epochs=4, batch_size=8, seed=1, loss="kl")
-        sets = {"drift": (np.arange(24), None)}
+        sets = {"drift": (np.arange(24), targets)}
         full = finetune_kl(params, X, targets, cfg, eval_sets=sets)
         streamed = []
         rest = finetune_kl(params, X, targets, cfg, eval_sets=sets,
@@ -281,15 +281,15 @@ class TestFinetuneKl:
         rows = np.array([5, 0, 17, 17, 3])
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         cfg = TrainConfig(lr=0.5, epochs=3, batch_size=8, seed=1, loss="kl")
+        ref = forward_probs(params, X[rows])
         cps = finetune_kl(params, X, np.full((24, 4), 0.25), cfg,
                           eval_sets={"by_pos": (rows, y[rows]),
-                                     "by_rows": (X[rows], y[rows]),
-                                     "drift": (rows, None)})
+                                     "drift": (rows, ref)})
         for e in cps.entries:
-            assert e.metrics["by_pos"] == e.metrics["by_rows"]
+            assert e.metrics["by_pos"] == 100.0 * float(
+                np.mean(predict_labels(e.params, X[rows]) != y[rows]))
             out = forward_probs(e.params, X[rows])
-            assert e.metrics["drift"] == float(
-                kl_rows(out, forward_probs(params, X[rows])).mean())
+            assert e.metrics["drift"] == float(kl_rows(out, ref).mean())
 
     @pytest.mark.parametrize("rows", [np.array([0, 24]), np.array([-1]),
                                       np.array([0.0, 1.0])])
@@ -336,7 +336,8 @@ class TestFinetuneKl:
         cfg = TrainConfig(lr=0.01, epochs=3, batch_size=8, seed=1, loss="kl")
         cps = finetune_kl(params, X, np.full((30, 4), 0.25), cfg,
                           eval_sets={"train": (np.arange(30), y),
-                                     "drift": (np.arange(30), None)},
+                                     "drift": (np.arange(30),
+                                               forward_probs(params, X))},
                           row_weights=rng.uniform(0.5, 2.0, 30))
         assert len(cps) == 3
         assert len(calls) == 3 * 4  # epochs * ceil(30 / 8)
@@ -344,116 +345,88 @@ class TestFinetuneKl:
     def _pipelined_run(self, rng):
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 4, size=40)
-        X_test = rng.normal(size=(15, 3))
-        y_test = rng.integers(0, 4, size=15)
         rows = np.array([3, 0, 39, 7, 7, 21])
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         targets = ProbMatrix(rng.dirichlet(np.ones(4), size=40))
         weights = rng.uniform(0.5, 2.0, 40)
-        eval_sets = {"forget": (rows, y[rows]), "test": (X_test, y_test),
-                     "drift": (np.arange(20), None),
-                     "test_drift": (X_test, None)}
+        eval_sets = {"forget": (rows, y[rows]),
+                     "retain": (np.arange(8, 40), y[8:]),
+                     "drift": (np.arange(20), forward_probs(params, X[:20]))}
         cfg = TrainConfig(lr=0.5, epochs=4, batch_size=8, seed=1, loss="kl")
         cps = finetune_kl(params, X, targets, cfg, eval_sets=eval_sets,
                           row_weights=weights)
-        return params, X, targets, weights, eval_sets, cps
+        return X, eval_sets, cps
 
     def test_one_forward_pass_per_snapshot(self, rng, monkeypatch):
-        # the initial pass and each snapshot cover the train rows and the
-        # input-matrix subsets at once; the SGD's own passes see a batch
-        rows = []
+        # the initial loss covers the train rows; each snapshot covers the
+        # rows of its subsets and no other, on the calling thread; the
+        # SGD's own passes write into its workspace
+        passes = []
         real = model_module._forward
 
         def recording(params, X, out=None):
-            rows.append(X.shape[0])
+            if out is None:
+                passes.append((threading.get_ident(), X.copy()))
             return real(params, X, out)
 
-        monkeypatch.setattr(model_module, "_forward", recording)
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 4, size=40)
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         cfg = TrainConfig(lr=0.5, epochs=3, batch_size=8, seed=1, loss="kl")
-        finetune_kl(params, X, np.full((40, 4), 0.25), cfg,
-                    eval_sets={"forget": (np.arange(5), y[:5]),
-                               "test": (rng.normal(size=(15, 3)),
-                                        rng.integers(0, 4, size=15)),
-                               "drift": (np.arange(40), None)})
-        assert [r for r in rows if r > 8] == [40 + 15] * (cfg.epochs + 1)
+        eval_sets = {"forget": (np.arange(5), y[:5]),
+                     "drift": (np.arange(30, 40), forward_probs(params, X[30:]))}
+        monkeypatch.setattr(model_module, "_forward", recording)
+        finetune_kl(params, X, np.full((40, 4), 0.25), cfg, eval_sets=eval_sets)
+        assert len(passes) == 1 + cfg.epochs
+        assert {ident for ident, _ in passes} == {threading.get_ident()}
+        assert np.array_equal(passes[0][1], X)
+        for _, rows in passes[1:]:
+            assert np.array_equal(rows[:, :-1], np.vstack([X[:5], X[30:]]))
+            assert (rows[:, -1] == 1.0).all()
 
     def test_pipelined_snapshots_match_synchronous_recomputation(self, rng):
-        params, X, targets, weights, eval_sets, cps = self._pipelined_run(rng)
+        X, eval_sets, cps = self._pipelined_run(rng)
         assert [e.epoch for e in cps.entries] == [1, 2, 3, 4]
         snaps = [e.params for e in cps.entries]
         assert all(a is not b and a.w1 is not b.w1
                    for a, b in zip(snaps, snaps[1:]))
-        self._assert_recomputed(params, X, targets, weights, eval_sets, cps)
+        self._assert_recomputed(X, eval_sets, cps)
 
-    def test_blocked_snapshots_match_synchronous_recomputation(self, rng):
-        # 1800 rows at 48 -> 512 -> 5 make blocks of 512, 512 and 776 rows;
-        # every positional subset a drift is measured on, and the train rows,
-        # recompute in passes of over 390 rows, which round as their slice
-        # of a taller pass does
+    def test_snapshots_at_scale_match_synchronous_recomputation(self, rng):
+        # at 48 -> 512 -> 5, the snapshot pass over 1800 gathered rows and
+        # the recomputations over 450 and 900 rows stay above 390 rows, so
+        # every subset rounds as its slice of the taller pass does
         X = rng.normal(size=(1500, 48))
         y = rng.integers(0, 5, size=1500)
-        X_test = rng.normal(size=(300, 48))
         rows = rng.permutation(1500)[:450]
         params = init_model(ModelLayout(48, 512, 5), seed=4)
         targets = ProbMatrix(rng.dirichlet(np.ones(5), size=1500))
         weights = rng.uniform(0.5, 2.0, 1500)
         eval_sets = {"forget": (rows, y[rows]),
-                     "test": (X_test, rng.integers(0, 5, size=300)),
-                     "drift": (rows, None), "retain_kl": (np.arange(900), None)}
+                     "drift": (rows, forward_probs(params, X[rows])),
+                     "retain_kl": (np.arange(900),
+                                   forward_probs(params, X[:900]))}
         cfg = TrainConfig(lr=0.05, epochs=3, batch_size=64, seed=1, loss="kl")
         cps = finetune_kl(params, X, targets, cfg, eval_sets=eval_sets,
                           row_weights=weights)
         assert cps.initial_loss == kl_loss(params, X, targets, weights)
         assert [e.epoch for e in cps.entries] == [1, 2, 3]
-        self._assert_recomputed(params, X, targets, weights, eval_sets, cps)
-
-    @pytest.mark.parametrize("k, bound", [(5, 512), (2, 977)])
-    def test_snapshot_pass_runs_in_row_blocks(self, rng, monkeypatch, k,
-                                              bound):
-        # the bound is the larger of 10**6 / (hidden * K) + 1 rows (391 at 5
-        # classes, 977 at 2) and 2 MiB of activations (512 rows); every pass
-        # cuts the 2900 rows alike and reuses one activation buffer
-        calls = []
-        real = model_module._forward
-
-        def recording(params, X, out=None):
-            calls.append((X.shape[0], out and out[0].ctypes.data))
-            return real(params, X, out)
-
-        monkeypatch.setattr(model_module, "_forward", recording)
-        X = rng.normal(size=(2600, 48))
-        params = init_model(ModelLayout(48, 512, k), seed=4)
-        cfg = TrainConfig(lr=0.05, epochs=2, batch_size=32, seed=1, loss="kl")
-        finetune_kl(params, X, np.full((2600, k), 1.0 / k), cfg,
-                    eval_sets={"test": (rng.normal(size=(300, 48)),
-                                        rng.integers(0, k, size=300))})
-        blocks = [rows for rows, _ in calls if rows > cfg.batch_size]
-        per_pass = len(blocks) // (cfg.epochs + 1)
-        assert per_pass > 1
-        assert blocks == blocks[:per_pass] * (cfg.epochs + 1)
-        assert sum(blocks[:per_pass]) == 2900
-        assert all(bound <= rows < 2 * bound for rows in blocks)
-        assert len({ptr for rows, ptr in calls if rows > cfg.batch_size}) == 1
+        self._assert_recomputed(X, eval_sets, cps)
 
     @staticmethod
-    def _assert_recomputed(params, X, targets, weights, eval_sets, cps):
+    def _assert_recomputed(X, eval_sets, cps):
         for e in cps.entries:
             p = e.params
-            expected = {"kl_loss": kl_loss(p, X, targets, weights)}
-            for name, (rows, y) in eval_sets.items():
-                inputs = X[rows] if rows.ndim == 1 else rows
-                if y is None:
+            expected = {}
+            for name, (rows, ref) in eval_sets.items():
+                if isinstance(ref, ProbMatrix):
                     expected[name] = float(kl_rows(
-                        forward_probs(p, inputs),
-                        forward_probs(params, inputs)).mean())
+                        forward_probs(p, X[rows]), ref).mean())
                 else:
                     expected[name] = 100.0 * float(
-                        np.mean(predict_labels(p, inputs) != y))
+                        np.mean(predict_labels(p, X[rows]) != ref))
             assert e.metrics == expected
-            assert list(e.metrics) == ["kl_loss", *eval_sets]
+            assert list(e.metrics) == [*eval_sets]
 
     def test_kl_rows_runs_on_the_calling_thread(self, rng, monkeypatch):
         threads = []
@@ -468,22 +441,28 @@ class TestFinetuneKl:
         assert threads and set(threads) == {threading.get_ident()}
 
     def test_worker_exception_propagates_and_joins(self, rng, monkeypatch):
-        caller = threading.get_ident()
-        calls = []
-        real = model_module._mean_loss
+        # a snapshot that raises ends the fine-tune before the next epoch
+        snapshots, steps = [], []
+        real_measure = model_module.measure
+        real_step = model_module._loss_and_grads
 
         def failing(*args, **kwargs):
-            if threading.get_ident() != caller:
-                calls.append(1)
-                if len(calls) == 2:
-                    raise FloatingPointError("injected")
-            return real(*args, **kwargs)
+            snapshots.append(1)
+            if len(snapshots) == 3:   # the second snapshot
+                raise FloatingPointError("injected")
+            return real_measure(*args, **kwargs)
 
-        monkeypatch.setattr(model_module, "_mean_loss", failing)
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "measure", failing)
+        monkeypatch.setattr(model_module, "_loss_and_grads", counting)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="injected"):
             self._pipelined_run(rng)
-        assert len(calls) == 2   # no snapshot is submitted after the failure
+        # the initial loss and two snapshots; two epochs of 5 steps
+        assert len(snapshots) == 3 and len(steps) == 2 * 5
         assert threading.active_count() == before
 
     def test_training_exception_joins_worker(self, rng, monkeypatch):
@@ -538,7 +517,8 @@ class TestFinetuneKl:
         uniform = np.full((X.shape[0], 5), 0.2)
         cfg = TrainConfig(lr=1e-2, epochs=12, batch_size=32, seed=2, loss="kl")
         cps = finetune_kl(small_model, X, uniform, cfg)
-        losses = [cps.initial_loss] + [e.metrics["kl_loss"] for e in cps.entries]
+        losses = [cps.initial_loss] + [kl_loss(e.params, X, ProbMatrix(uniform))
+                                       for e in cps.entries]
         diffs = np.diff(losses)
         assert (diffs <= 1e-12).all()
 
@@ -549,7 +529,7 @@ class TestFinetuneKl:
         uniform = np.full((X.shape[0], 5), 0.2)
         cfg = TrainConfig(lr=0.05, epochs=10, batch_size=32, seed=2, loss="kl")
         cps = finetune_kl(small_model, X, uniform, cfg,
-                          eval_sets={"train": (X, y)})
+                          eval_sets={"train": (np.arange(len(y)), y)})
         errors = [e.metrics["train"] for e in cps.entries]
         assert errors[-1] > errors[0] or errors[0] > 50.0
 

@@ -94,8 +94,11 @@ class TestBiasMode:
         assert rep.selected_epoch == 4  # bias mode keeps the last epoch
         assert rep.method == "ppu-bias"
         assert rep.refine_summary is None
-        for entry in rep.trajectory:
-            assert {"forget", "retain", "test", "kl_loss", "epoch"} <= set(entry)
+        # a snapshot measures the forget error; the selected one the rest
+        for entry in rep.trajectory[:-1]:
+            assert set(entry) == {"forget", "epoch"}
+        assert set(rep.trajectory[-1]) == {"forget", "retain", "test",
+                                           "kl_loss", "epoch"}
         assert all(v >= 0 for v in rep.timings.values())
 
     def test_mode_mismatch(self, small_blobs, small_split, small_model):
@@ -277,7 +280,8 @@ class TestTrainPositions:
 
 class TestFusedSnapshot:
     """Each trajectory entry equals an independent recomputation from that
-    epoch's checkpoint with the public evaluation functions."""
+    epoch's checkpoint with the public evaluation functions, and each
+    snapshot reads only the rows its selection reads."""
 
     @pytest.mark.parametrize("style", ["bias", "privacy"])
     def test_trajectory_matches_recomputation(self, small_blobs, small_split,
@@ -313,13 +317,65 @@ class TestFusedSnapshot:
         for entry, cp in zip(rep.trajectory, checkpoints):
             p = cp.params
             expected = {"epoch": cp.epoch,
-                        "kl_loss": kl_loss(p, X, targets, weights)}
-            for name, (sx, sy) in subsets.items():
-                expected[name] = error_rate(p, sx, sy)
-            if style == "privacy":
-                expected["retain_kl"] = float(
-                    kl_rows(forward_probs(p, xr), source_retain).mean())
+                        "forget": error_rate(p, *subsets["forget"])}
+            if cp.epoch == rep.selected_epoch:
+                expected["kl_loss"] = kl_loss(p, X, targets, weights)
+                for name, (sx, sy) in subsets.items():
+                    expected[name] = error_rate(p, sx, sy)
+                if style == "privacy":
+                    expected["retain_kl"] = float(
+                        kl_rows(forward_probs(p, xr), source_retain).mean())
             assert entry == expected
+
+    @pytest.mark.parametrize("style, selection", [
+        ("bias", "forget-error-proxy"), ("privacy", "forget-error-proxy"),
+        ("privacy", "output-distance")])
+    def test_snapshots_read_only_the_selection_rows(
+            self, small_blobs, small_split, small_model, monkeypatch, style,
+            selection):
+        # one pass per snapshot over the forget rows, and the retain rows
+        # under output-distance, all on the calling thread
+        import threading
+        from ppunlearn import model as model_module
+        from ppunlearn import pipeline
+        from ppunlearn.pipeline import _train_positions
+        ds, split = small_blobs, small_split
+        threads, passes, inside = set(), [], []
+        real_forward, real_finetune = model_module._forward, pipeline.finetune_kl
+
+        def recording(params, X, out=None):
+            threads.add(threading.get_ident())
+            if out is None and inside:
+                passes.append(X.copy())
+            return real_forward(params, X, out)
+
+        def finetune(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_finetune(*args, **kwargs)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(model_module, "_forward", recording)
+        monkeypatch.setattr(pipeline, "finetune_kl", finetune)
+        task = UnlearnTask(ds, split, style,
+                           PseudoScheme("random-softmax", seed=7), kl_cfg(4),
+                           refine_cfg=RefineConfig(), selection=selection)
+        before = threading.active_count()
+        (ppu_privacy if style == "privacy" else ppu_bias)(small_model, task)
+        assert threading.active_count() == before
+        assert threads == {threading.get_ident()}
+
+        train_idx, fpos, rpos = _train_positions(ds, split)
+        X = ds.inputs[train_idx]
+        rows = X[fpos] if selection == "forget-error-proxy" else \
+            np.vstack([X[fpos], X[rpos]])
+        # the initial loss's pass over the train rows, then the snapshots
+        assert len(passes) == 1 + 4
+        assert np.array_equal(passes[0], X)
+        for seen in passes[1:]:
+            assert np.array_equal(seen[:, :-1], rows)
+            assert (seen[:, -1] == 1.0).all()
 
 
 class TestStreamedSelection:
