@@ -306,9 +306,9 @@ def load_dataset(path) -> Dataset:
     """Read a dataset written by ``save_dataset``.
 
     Anything that does not decode, a missing array or manifest field,
-    inputs that are not a finite 2-D matrix, and arrays whose content hash
-    differs from the one a ``gen_blobs`` provenance records raise DataError
-    naming the file.
+    inputs that are not a finite 2-D matrix, labels or splits that are not
+    1-D integer arrays, and arrays whose content hash differs from the one
+    a ``gen_blobs`` provenance records raise DataError naming the file.
     """
     base = str(path).removesuffix(".npz")
     npz, manifest_path = base + ".npz", base + ".manifest.json"
@@ -332,8 +332,10 @@ def load_dataset(path) -> Dataset:
     if (inputs.ndim != 2 or inputs.dtype.kind not in "iuf"
             or not np.isfinite(inputs).all()):
         raise DataError(f"{npz}: inputs must be a finite 2-D matrix")
-    if labels.ndim != 1 or labels.dtype.kind not in "iu":
-        raise DataError(f"{npz}: labels must be a 1-D integer array")
+    named = {"labels": labels} | {f"split_{k}": v for k, v in splits.items()}
+    for name, arr in named.items():
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise DataError(f"{npz}: {name} must be a 1-D integer array")
     if (provenance.get("generator") == "blobs"
             and provenance.get("content_hash") != _content_hash(inputs,
                                                                 labels)):

@@ -215,6 +215,8 @@ def mia_attack(params: ModelParams, forget_set, test_set,
 
 def time_stage(label: str, thunk, repetitions: int = 1) -> TimingRecord:
     """Run ``thunk`` under a monotonic clock; mean and standard error."""
+    if repetitions < 1:
+        raise UsageError(f"repetitions: must be >= 1, got {repetitions}")
     samples = []
     for _ in range(repetitions):
         t0 = time.perf_counter()

@@ -18,8 +18,9 @@ the batch rows for db1) in one block.  Each epoch gathers its shuffled rows
 once into epoch buffers; a step reads a contiguous slice of them and writes
 its activations and gradients into one workspace, so it allocates no array
 and computes no loss.  One function, ``measure``, evaluates a model on
-chosen rows with one forward pass; fine-tuning runs it after each epoch, on
-the calling thread, over only the rows its caller's metrics read.
+chosen rows with one forward pass.  Fine-tuning trains and measures
+nothing: it hands each epoch's weight copy to its caller's consumer, which
+measures it, on the calling thread, before the next epoch starts.
 """
 
 from __future__ import annotations
@@ -126,7 +127,6 @@ class CheckpointSet:
     epoch's from ``finetune_kl`` by default, or the ones a caller kept."""
 
     entries: list
-    initial_loss: float = float("nan")
 
     def __post_init__(self):
         epochs = [e.epoch for e in self.entries]
@@ -381,32 +381,23 @@ def kl_loss(params: ModelParams, inputs, targets: ProbMatrix,
 
 
 def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
-                eval_sets=None, row_weights=None,
-                on_entry=None) -> CheckpointSet:
+                row_weights=None, on_entry=None) -> CheckpointSet:
     """Fine-tune toward target distributions, snapshotting every epoch.
 
     Args:
         targets: ProbMatrix (or array of stochastic rows) aligned with inputs.
-        eval_sets: optional {name: (rows, ref)}, where ``rows`` is a 1-D
-            array of positions into ``inputs`` and ``ref`` holds either one
-            label per row or a ProbMatrix of reference outputs, one row per
-            position.  Each snapshot records the error percentage on every
-            labelled subset and, on every other, the mean KL divergence of
-            its outputs from ``ref``.
         row_weights: optional per-row positive weights for the loss (used to
             weight retain rows by lambda); normalized internally.
-        on_entry: called with each completed CheckpointEntry, in epoch
-            order; the default appends it to the returned set.  A consumer
-            that keeps only the entries it needs bounds the weight copies
-            held to a few, whatever the epoch count.
+        on_entry: called with each epoch's CheckpointEntry, a copy of the
+            weights whose empty ``metrics`` the consumer may fill, in epoch
+            order and before the next epoch starts; the default appends it
+            to the returned set.  A consumer that keeps only the entries it
+            needs bounds the weight copies held to a few, whatever the
+            epoch count.
 
-    The subsets' rows are gathered once, with the column of ones, and after
-    each epoch ``measure`` evaluates a copy of the weights on them and no
-    other row, on the calling thread.
-
-    Returns a CheckpointSet holding the entries the default ``on_entry``
-    collected, one per epoch (none with a consumer of the caller's own);
-    ``initial_loss`` holds ``kl_loss`` of ``params`` before any update.
+    Fine-tuning measures nothing.  Returns a CheckpointSet holding the
+    entries the default ``on_entry`` collected, one per epoch (none with a
+    consumer of the caller's own).
     """
     if cfg.loss != "kl":
         raise UsageError(f"finetune_kl requires loss='kl', got {cfg.loss!r}")
@@ -430,34 +421,14 @@ def finetune_kl(params: ModelParams, inputs, targets, cfg: TrainConfig,
             raise ShapeError("row_weights must have one entry per input row")
         if not (row_weights.min() > 0 and row_weights.max() < math.inf):
             raise UsageError("row_weights must be finite and positive")
-    sets, picked, end = {}, [np.zeros(0, dtype=np.int64)], 0
-    for name, (rows, ref) in (eval_sets or {}).items():
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.size and (
-                rows.dtype.kind not in "iu" or rows.min() < 0
-                or rows.max() >= n):
-            raise ShapeError(f"eval set {name!r}: positions must be a 1-D "
-                             f"array of integers in [0, {n})")
-        ref = ref if isinstance(ref, ProbMatrix) else np.asarray(ref)
-        shape = (ref.n_rows,) if isinstance(ref, ProbMatrix) else ref.shape
-        if shape != rows.shape:
-            raise ShapeError(f"eval set {name!r}: reference of shape {shape} "
-                             f"for {rows.size} rows")
-        sets[name] = (np.arange(end, end + rows.size), ref)
-        picked.append(rows.astype(np.int64))
-        end += rows.size
-    snapshot_rows = _with_ones(params, X[np.concatenate(picked)])
-
-    initial_loss = kl_loss(params, X, targets, row_weights)
     entries = []
     if on_entry is None:
         on_entry = entries.append
     params = params.copy()
     for epoch in _sgd_epochs(params, X, targets.values, cfg, "kl",
                              row_weights):
-        p = params.copy()
-        on_entry(CheckpointEntry(epoch, p, measure(p, snapshot_rows, sets)))
-    return CheckpointSet(entries, initial_loss=initial_loss)
+        on_entry(CheckpointEntry(epoch, params.copy()))
+    return CheckpointSet(entries)
 
 
 def save_model(params: ModelParams, path, epoch=None, error_rates=None) -> None:

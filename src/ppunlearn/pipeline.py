@@ -7,7 +7,9 @@ weights toward the targets with the KL loss.  Bias mode keeps the raw
 substituted targets and the final epoch; privacy mode refines first and
 selects the checkpoint whose forget error best matches a retrain-like
 reference.  Adaptive mode runs either variant seeded from a predecessor
-model's outputs instead of the original's.
+model's outputs instead of the original's.  Fine-tuning only trains: the
+pipeline measures each epoch's snapshot as it arrives, on the rows its
+selection reads, and the selected snapshot once more when training ends.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from .data import Dataset, SplitResult
 from .errors import UsageError
 from .evaluate import error_rate
-from .model import (CheckpointSet, ModelParams, TrainConfig, finetune_kl,
-                    forward_probs, measure)
+from .model import (CheckpointSet, ModelParams, TrainConfig, _with_ones,
+                    finetune_kl, forward_probs, measure)
 from .probmatrix import PseudoScheme, pseudo_generate, replace_rows
 from .refine import RefineConfig, problem_from_outputs, refine
 
@@ -218,14 +220,19 @@ def _run_ppu(source: ModelParams, task: UnlearnTask,
             method=method, refine_result=refine_result,
         )
 
-    # the snapshots measure only what the selection reads; the selected
-    # one's other metrics are measured once it is known
-    eval_sets = {"forget": (fpos, ds.labels[split.forget_idx])}
+    # each snapshot measures only what the selection reads, on rows gathered
+    # once with the column of ones; the selected one's other metrics are
+    # measured once it is known
+    gathered = fpos
+    sets = {"forget": (np.arange(len(fpos)), ds.labels[split.forget_idx])}
     subsets = {"retain": (rpos, ds.labels[split.retain_idx])}
     if style == "privacy":
         subsets["retain_kl"] = (rpos, outputs.take(rpos))
         if task.selection == "output-distance":
-            eval_sets["retain_kl"] = subsets["retain_kl"]
+            gathered = np.concatenate([fpos, rpos])
+            sets["retain_kl"] = (np.arange(len(fpos), len(gathered)),
+                                 subsets["retain_kl"][1])
+    snapshot_rows = _with_ones(source, X[gathered])
     weights = np.ones(len(train_idx))
     weights[rpos] = task.lam
 
@@ -243,15 +250,15 @@ def _run_ppu(source: ModelParams, task: UnlearnTask,
     trajectory = []
 
     def keep(entry):
+        entry.metrics = measure(entry.params, snapshot_rows, sets)
         trajectory.append(dict(entry.metrics, epoch=entry.epoch))
         if on_checkpoint is not None:
             on_checkpoint(entry)
         selection.offer(entry)
 
     t0 = time.perf_counter()
-    cps = finetune_kl(source, X, targets, task.finetune,
-                      eval_sets=eval_sets, row_weights=weights,
-                      on_entry=keep)
+    finetune_kl(source, X, targets, task.finetune, row_weights=weights,
+                on_entry=keep)
     # one pass over the train rows, then one over the test rows
     entry = selection.entry
     record = trajectory[entry.epoch - 1]
@@ -263,7 +270,7 @@ def _run_ppu(source: ModelParams, task: UnlearnTask,
         params=entry.params, selected_epoch=entry.epoch,
         trajectory=trajectory, refine_summary=refine_summary,
         timings=timings, flags=flags, method=method,
-        checkpoints=CheckpointSet([entry], initial_loss=cps.initial_loss),
+        checkpoints=CheckpointSet([entry]),
         refine_result=refine_result,
     )
 

@@ -224,3 +224,39 @@ def test_undecodable_manifest_names_the_file(tmp_path):
     manifest.write_bytes(manifest.read_bytes()[:9])
     with pytest.raises(DataError, match="ds.manifest.json: not valid JSON"):
         load_dataset(tmp_path / "ds")
+
+
+def _save_with_train_split(path, edit):
+    # a saved blob dataset whose split_train array is replaced by
+    # ``edit(split_train)``
+    save_dataset(gen_blobs(3, 4, 30, 0.5, seed=9), path)
+    with np.load(str(path) + ".npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["split_train"] = edit(arrays["split_train"])
+    with open(str(path) + ".npz", "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+BAD_SPLITS = {
+    "2-D": lambda train: np.stack([train, train]),
+    "float": lambda train: train + 0.4,
+    "bool": lambda train: np.ones(train.size, dtype=bool),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_SPLITS.values(), ids=BAD_SPLITS.keys())
+def test_split_that_is_not_1d_integers_rejected(tmp_path, edit):
+    _save_with_train_split(tmp_path / "ds", edit)
+    with pytest.raises(DataError,
+                       match=r"ds\.npz: split_train must be a 1-D integer"):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("edit", BAD_SPLITS.values(), ids=BAD_SPLITS.keys())
+def test_split_that_is_not_1d_integers_exit_code(tmp_path, capsys, edit):
+    from ppunlearn.cli import main
+    _save_with_train_split(tmp_path / "ds", edit)
+    assert main(["train", "--dataset", str(tmp_path / "ds"),
+                 "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"]) == 3
+    assert "split_train" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()

@@ -213,3 +213,10 @@ class TestTimeStage:
     def test_single_rep_std_error_zero(self):
         rec = time_stage("x", lambda: None, repetitions=1)
         assert rec.std_error == 0.0
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_repetitions_below_one_rejected(self, repetitions):
+        calls = []
+        with pytest.raises(UsageError, match="repetitions"):
+            time_stage("x", lambda: calls.append(1), repetitions=repetitions)
+        assert calls == []

@@ -242,10 +242,12 @@ class TestRunDirectoryArtifacts:
     def test_streamed_checkpoints_equal_the_full_set(self, tmp_path,
                                                      monkeypatch, method):
         # the files written as the epochs complete hold the bytes that
-        # saving finetune_kl's default set afterwards would write
+        # saving finetune_kl's default set afterwards, with each epoch's
+        # forget error, would write
         from ppunlearn import pipeline
+        from ppunlearn.evaluate import error_rate
+        from ppunlearn.harness import _run_data
         from ppunlearn.model import finetune_kl, save_model
-        from ppunlearn.pipeline import ERROR_METRICS
         calls = []
 
         def recording(*args, **kwargs):
@@ -258,15 +260,17 @@ class TestRunDirectoryArtifacts:
         run_experiment(blob_config(run_dir, method=method))
         (args, kwargs), = calls
         full = finetune_kl(*args, **kwargs)
+        _, ds, split = _run_data(run_dir)
+        forget_rows = ds.arrays_at(split.forget_idx)
         assert len(full) == 3
         assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) \
             == sorted(f"epoch_{k:03d}.ckpt{ext}" for k in (1, 2, 3)
                       for ext in ("", ".json"))
         for entry in full.entries:
             name = f"epoch_{entry.epoch:03d}.ckpt"
+            forget = error_rate(entry.params, *forget_rows)
             save_model(entry.params, tmp_path / name, epoch=entry.epoch,
-                       error_rates={k: v for k, v in entry.metrics.items()
-                                    if k in ERROR_METRICS})
+                       error_rates={"forget": forget})
             for ext in ("", ".json"):
                 assert (run_dir / "checkpoints" / (name + ext)).read_bytes() \
                     == (tmp_path / (name + ext)).read_bytes()

@@ -11,7 +11,8 @@ from ppunlearn.errors import (DataError, LayoutError, ShapeError, TargetError,
 from ppunlearn.model import (CheckpointSet, CheckpointEntry, ModelLayout,
                              ModelParams, TrainConfig, _loss_and_grads,
                              finetune_kl, forward_probs, init_model, kl_loss,
-                             load_model, predict_labels, save_model, train_ce)
+                             load_model, measure, predict_labels, save_model,
+                             train_ce)
 from ppunlearn.probmatrix import ProbMatrix, kl_rows
 
 from oracles import (finite_diff_grads, forward_reference,
@@ -226,8 +227,8 @@ class TestFinetuneKl:
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         targets = forward_probs(params, X)
         cfg = TrainConfig(lr=0.01, epochs=3, batch_size=8, seed=1, loss="kl")
+        assert kl_loss(params, X, targets) == pytest.approx(0.0, abs=1e-15)
         cps = finetune_kl(params, X, targets, cfg)
-        assert cps.initial_loss == pytest.approx(0.0, abs=1e-15)
         final = cps.entries[-1].params
         for ta, tb in zip(params.tensors(), final.tensors()):
             assert np.allclose(ta, tb, atol=1e-9)
@@ -245,30 +246,26 @@ class TestFinetuneKl:
         assert kl == pytest.approx(ce, abs=1e-9)
 
     def test_checkpoints_and_metrics(self, rng):
+        # one entry per epoch, whose metrics are left to the caller
         X = rng.normal(size=(24, 3))
-        y = rng.integers(0, 4, size=24)
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         targets = forward_probs(params, X)
         cfg = TrainConfig(lr=0.01, epochs=5, batch_size=8, seed=1, loss="kl")
-        cps = finetune_kl(params, X, targets, cfg,
-                          eval_sets={"train": (np.arange(24), y),
-                                     "drift": (np.arange(24), targets)})
+        cps = finetune_kl(params, X, targets, cfg)
         assert len(cps) == 5
         assert [e.epoch for e in cps.entries] == [1, 2, 3, 4, 5]
         for e in cps.entries:
-            assert set(e.metrics) == {"train", "drift"}
+            assert e.metrics == {}
 
     def test_on_entry_streams_the_default_entries(self, rng):
         X = rng.normal(size=(24, 3))
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         targets = forward_probs(params, X)
         cfg = TrainConfig(lr=0.5, epochs=4, batch_size=8, seed=1, loss="kl")
-        sets = {"drift": (np.arange(24), targets)}
-        full = finetune_kl(params, X, targets, cfg, eval_sets=sets)
+        full = finetune_kl(params, X, targets, cfg)
         streamed = []
-        rest = finetune_kl(params, X, targets, cfg, eval_sets=sets,
-                           on_entry=streamed.append)
-        assert len(rest) == 0 and rest.initial_loss == full.initial_loss
+        rest = finetune_kl(params, X, targets, cfg, on_entry=streamed.append)
+        assert len(rest) == 0
         assert [e.epoch for e in streamed] == [1, 2, 3, 4]
         for a, b in zip(full.entries, streamed):
             assert a.metrics == b.metrics
@@ -276,52 +273,24 @@ class TestFinetuneKl:
                 assert np.array_equal(ta, tb)
 
     def test_positional_eval_sets_match_input_matrices(self, rng):
+        # ``measure`` reads its subsets by position into the inputs
         X = rng.normal(size=(24, 3))
         y = rng.integers(0, 4, size=24)
         rows = np.array([5, 0, 17, 17, 3])
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         cfg = TrainConfig(lr=0.5, epochs=3, batch_size=8, seed=1, loss="kl")
         ref = forward_probs(params, X[rows])
-        cps = finetune_kl(params, X, np.full((24, 4), 0.25), cfg,
-                          eval_sets={"by_pos": (rows, y[rows]),
-                                     "drift": (rows, ref)})
+        cps = finetune_kl(params, X, np.full((24, 4), 0.25), cfg)
         for e in cps.entries:
-            assert e.metrics["by_pos"] == 100.0 * float(
+            metrics = measure(e.params, X, {"by_pos": (rows, y[rows]),
+                                            "drift": (rows, ref)})
+            assert metrics["by_pos"] == 100.0 * float(
                 np.mean(predict_labels(e.params, X[rows]) != y[rows]))
             out = forward_probs(e.params, X[rows])
-            assert e.metrics["drift"] == float(kl_rows(out, ref).mean())
-
-    @pytest.mark.parametrize("rows", [np.array([0, 24]), np.array([-1]),
-                                      np.array([0.0, 1.0])])
-    def test_bad_eval_positions_rejected(self, rng, rows):
-        X = rng.normal(size=(24, 3))
-        params = init_model(ModelLayout(3, 6, 2), seed=4)
-        with pytest.raises(ShapeError):
-            finetune_kl(params, X, np.full((24, 2), 0.5),
-                        TrainConfig(lr=0.01, epochs=1, loss="kl"),
-                        eval_sets={"bad": (rows, None)})
-
-    @pytest.mark.parametrize("y", [np.array([0]), np.array([0, 1, 2])])
-    @pytest.mark.parametrize("matrix", [False, True])
-    def test_eval_label_count_checked_up_front(self, rng, monkeypatch, y,
-                                               matrix):
-        # a single label would broadcast over the subset's rows, and any
-        # other wrong count would first fail at a snapshot
-        def no_training(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(model_module, "_sgd_epochs", no_training)
-        X = rng.normal(size=(24, 3))
-        rows = X[:10] if matrix else np.arange(10)
-        params = init_model(ModelLayout(3, 6, 4), seed=4)
-        with pytest.raises(ShapeError, match="'a'"):
-            finetune_kl(params, X, np.full((24, 4), 0.25),
-                        TrainConfig(lr=0.01, epochs=2, loss="kl"),
-                        eval_sets={"a": (rows, y)})
+            assert metrics["drift"] == float(kl_rows(out, ref).mean())
 
     def test_one_backward_pass_per_sgd_step(self, rng, monkeypatch):
-        # snapshots and the initial loss are forward-only: every
-        # _loss_and_grads call is an SGD step
+        # every _loss_and_grads call is an SGD step
         calls = []
         real = model_module._loss_and_grads
 
@@ -331,18 +300,16 @@ class TestFinetuneKl:
 
         monkeypatch.setattr(model_module, "_loss_and_grads", counting)
         X = rng.normal(size=(30, 3))
-        y = rng.integers(0, 4, size=30)
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         cfg = TrainConfig(lr=0.01, epochs=3, batch_size=8, seed=1, loss="kl")
         cps = finetune_kl(params, X, np.full((30, 4), 0.25), cfg,
-                          eval_sets={"train": (np.arange(30), y),
-                                     "drift": (np.arange(30),
-                                               forward_probs(params, X))},
                           row_weights=rng.uniform(0.5, 2.0, 30))
         assert len(cps) == 3
         assert len(calls) == 3 * 4  # epochs * ceil(30 / 8)
 
     def _pipelined_run(self, rng):
+        # each snapshot is measured in the entry consumer as it arrives, as
+        # the pipeline measures it
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 4, size=40)
         rows = np.array([3, 0, 39, 7, 7, 21])
@@ -353,36 +320,42 @@ class TestFinetuneKl:
                      "retain": (np.arange(8, 40), y[8:]),
                      "drift": (np.arange(20), forward_probs(params, X[:20]))}
         cfg = TrainConfig(lr=0.5, epochs=4, batch_size=8, seed=1, loss="kl")
-        cps = finetune_kl(params, X, targets, cfg, eval_sets=eval_sets,
-                          row_weights=weights)
-        return X, eval_sets, cps
+        entries = []
 
-    def test_one_forward_pass_per_snapshot(self, rng, monkeypatch):
-        # the initial loss covers the train rows; each snapshot covers the
-        # rows of its subsets and no other, on the calling thread; the
-        # SGD's own passes write into its workspace
+        def measured(entry):
+            entry.metrics = measure(entry.params, X, eval_sets)
+            entries.append(entry)
+
+        finetune_kl(params, X, targets, cfg, row_weights=weights,
+                    on_entry=measured)
+        return X, eval_sets, CheckpointSet(entries)
+
+    def test_no_forward_pass_outside_the_sgd_workspace(self, rng,
+                                                       monkeypatch):
+        # fine-tuning measures nothing: its only forward passes are the SGD
+        # steps', written into their workspace, and it computes no loss
         passes = []
         real = model_module._forward
 
         def recording(params, X, out=None):
-            if out is None:
-                passes.append((threading.get_ident(), X.copy()))
+            passes.append(out)
             return real(params, X, out)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fine-tuning measured")
+
+        monkeypatch.setattr(model_module, "_forward", recording)
+        for name in ("measure", "kl_loss", "_mean_loss"):
+            monkeypatch.setattr(model_module, name, forbidden)
         X = rng.normal(size=(40, 3))
-        y = rng.integers(0, 4, size=40)
         params = init_model(ModelLayout(3, 6, 4), seed=4)
         cfg = TrainConfig(lr=0.5, epochs=3, batch_size=8, seed=1, loss="kl")
-        eval_sets = {"forget": (np.arange(5), y[:5]),
-                     "drift": (np.arange(30, 40), forward_probs(params, X[30:]))}
-        monkeypatch.setattr(model_module, "_forward", recording)
-        finetune_kl(params, X, np.full((40, 4), 0.25), cfg, eval_sets=eval_sets)
-        assert len(passes) == 1 + cfg.epochs
-        assert {ident for ident, _ in passes} == {threading.get_ident()}
-        assert np.array_equal(passes[0][1], X)
-        for _, rows in passes[1:]:
-            assert np.array_equal(rows[:, :-1], np.vstack([X[:5], X[30:]]))
-            assert (rows[:, -1] == 1.0).all()
+        cps = finetune_kl(params, X, np.full((40, 4), 0.25), cfg,
+                          row_weights=rng.uniform(0.5, 2.0, 40))
+        assert len(cps) == 3
+        assert len(passes) == 3 * 5  # epochs * ceil(40 / 8)
+        assert all(out is not None and out[0].shape == (8, 6)
+                   and out[1].shape == (8, 4) for out in passes)
 
     def test_pipelined_snapshots_match_synchronous_recomputation(self, rng):
         X, eval_sets, cps = self._pipelined_run(rng)
@@ -390,27 +363,6 @@ class TestFinetuneKl:
         snaps = [e.params for e in cps.entries]
         assert all(a is not b and a.w1 is not b.w1
                    for a, b in zip(snaps, snaps[1:]))
-        self._assert_recomputed(X, eval_sets, cps)
-
-    def test_snapshots_at_scale_match_synchronous_recomputation(self, rng):
-        # at 48 -> 512 -> 5, the snapshot pass over 1800 gathered rows and
-        # the recomputations over 450 and 900 rows stay above 390 rows, so
-        # every subset rounds as its slice of the taller pass does
-        X = rng.normal(size=(1500, 48))
-        y = rng.integers(0, 5, size=1500)
-        rows = rng.permutation(1500)[:450]
-        params = init_model(ModelLayout(48, 512, 5), seed=4)
-        targets = ProbMatrix(rng.dirichlet(np.ones(5), size=1500))
-        weights = rng.uniform(0.5, 2.0, 1500)
-        eval_sets = {"forget": (rows, y[rows]),
-                     "drift": (rows, forward_probs(params, X[rows])),
-                     "retain_kl": (np.arange(900),
-                                   forward_probs(params, X[:900]))}
-        cfg = TrainConfig(lr=0.05, epochs=3, batch_size=64, seed=1, loss="kl")
-        cps = finetune_kl(params, X, targets, cfg, eval_sets=eval_sets,
-                          row_weights=weights)
-        assert cps.initial_loss == kl_loss(params, X, targets, weights)
-        assert [e.epoch for e in cps.entries] == [1, 2, 3]
         self._assert_recomputed(X, eval_sets, cps)
 
     @staticmethod
@@ -439,31 +391,6 @@ class TestFinetuneKl:
         monkeypatch.setattr(model_module, "kl_rows", recording)
         self._pipelined_run(rng)
         assert threads and set(threads) == {threading.get_ident()}
-
-    def test_worker_exception_propagates_and_joins(self, rng, monkeypatch):
-        # a snapshot that raises ends the fine-tune before the next epoch
-        snapshots, steps = [], []
-        real_measure = model_module.measure
-        real_step = model_module._loss_and_grads
-
-        def failing(*args, **kwargs):
-            snapshots.append(1)
-            if len(snapshots) == 3:   # the second snapshot
-                raise FloatingPointError("injected")
-            return real_measure(*args, **kwargs)
-
-        def counting(*args, **kwargs):
-            steps.append(1)
-            return real_step(*args, **kwargs)
-
-        monkeypatch.setattr(model_module, "measure", failing)
-        monkeypatch.setattr(model_module, "_loss_and_grads", counting)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="injected"):
-            self._pipelined_run(rng)
-        # the initial loss and two snapshots; two epochs of 5 steps
-        assert len(snapshots) == 3 and len(steps) == 2 * 5
-        assert threading.active_count() == before
 
     def test_training_exception_joins_worker(self, rng, monkeypatch):
         steps = []
@@ -517,8 +444,8 @@ class TestFinetuneKl:
         uniform = np.full((X.shape[0], 5), 0.2)
         cfg = TrainConfig(lr=1e-2, epochs=12, batch_size=32, seed=2, loss="kl")
         cps = finetune_kl(small_model, X, uniform, cfg)
-        losses = [cps.initial_loss] + [kl_loss(e.params, X, ProbMatrix(uniform))
-                                       for e in cps.entries]
+        losses = [kl_loss(p, X, ProbMatrix(uniform))
+                  for p in [small_model] + [e.params for e in cps.entries]]
         diffs = np.diff(losses)
         assert (diffs <= 1e-12).all()
 
@@ -528,9 +455,9 @@ class TestFinetuneKl:
         X, y = small_blobs.split_arrays("train")
         uniform = np.full((X.shape[0], 5), 0.2)
         cfg = TrainConfig(lr=0.05, epochs=10, batch_size=32, seed=2, loss="kl")
-        cps = finetune_kl(small_model, X, uniform, cfg,
-                          eval_sets={"train": (np.arange(len(y)), y)})
-        errors = [e.metrics["train"] for e in cps.entries]
+        cps = finetune_kl(small_model, X, uniform, cfg)
+        errors = [100.0 * float(np.mean(predict_labels(e.params, X) != y))
+                  for e in cps.entries]
         assert errors[-1] > errors[0] or errors[0] > 50.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])

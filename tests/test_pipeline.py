@@ -127,7 +127,7 @@ class TestPrivacyMode:
         # pseudo rows equal to the original forget outputs leave the
         # constraints satisfied: refinement returns its targets unchanged in
         # one iteration and the fine-tune sits at a loss minimum
-        from ppunlearn.model import finetune_kl
+        from ppunlearn.model import finetune_kl, kl_loss
         from ppunlearn.pipeline import _train_positions
         from ppunlearn.probmatrix import class_mass, replace_rows
         from ppunlearn.refine import problem_from_outputs, refine
@@ -141,8 +141,8 @@ class TestPrivacyMode:
         assert result.iterations == 1
         assert result.objective == 0.0
         assert np.array_equal(result.matrix.values, targets.values)
+        assert kl_loss(small_model, X, result.matrix) <= 1e-12
         cps = finetune_kl(small_model, X, result.matrix, kl_cfg(2, lr=0.001))
-        assert cps.initial_loss <= 1e-12
         final = cps.entries[-1].params
         for ta, tb in zip(final.tensors(), small_model.tensors()):
             assert np.allclose(ta, tb, atol=1e-6)
@@ -370,12 +370,87 @@ class TestFusedSnapshot:
         X = ds.inputs[train_idx]
         rows = X[fpos] if selection == "forget-error-proxy" else \
             np.vstack([X[fpos], X[rpos]])
-        # the initial loss's pass over the train rows, then the snapshots
-        assert len(passes) == 1 + 4
-        assert np.array_equal(passes[0], X)
-        for seen in passes[1:]:
+        # one pass per snapshot and no other
+        assert len(passes) == 4
+        for seen in passes:
             assert np.array_equal(seen[:, :-1], rows)
             assert (seen[:, -1] == 1.0).all()
+
+    def test_snapshots_at_scale_match_recomputation(self, rng):
+        # at 48 -> 512 -> 5, the snapshot pass over the 1500 gathered forget
+        # and retain rows and the recomputations over 450, 1050 and 500
+        # rows stay above 390 rows, so every subset rounds as its slice of
+        # the taller pass does
+        from ppunlearn.data import Dataset, SplitResult
+        from ppunlearn.evaluate import error_rate
+        from ppunlearn.model import kl_loss
+        X = rng.normal(size=(2000, 48))
+        y = rng.integers(0, 5, size=2000)
+        train = rng.permutation(2000)[:1500]
+        ds = Dataset(X, y, {"train": train,
+                            "test": np.setdiff1d(np.arange(2000), train)},
+                     n_classes=5)
+        split = SplitResult(train[:450], train[450:])
+        source = init_model(ModelLayout(48, 512, 5), seed=4)
+        task = UnlearnTask(ds, split, "privacy", PseudoScheme("uniform"),
+                           kl_cfg(3, lr=0.05, batch_size=64, seed=1), lam=0.5,
+                           refine_cfg=RefineConfig(),
+                           selection="output-distance")
+        checkpoints = []
+        rep = ppu_privacy(source, task, on_checkpoint=checkpoints.append)
+
+        xf, yf = ds.arrays_at(split.forget_idx)
+        xr, yr = ds.arrays_at(split.retain_idx)
+        source_retain = forward_probs(source, xr)
+        weights = np.full(1500, 0.5)
+        weights[:450] = 1.0
+        assert [cp.epoch for cp in checkpoints] == [1, 2, 3]
+        for entry, cp in zip(rep.trajectory, checkpoints):
+            p = cp.params
+            expected = {"epoch": cp.epoch, "forget": error_rate(p, xf, yf),
+                        "retain_kl": float(kl_rows(forward_probs(p, xr),
+                                                   source_retain).mean())}
+            if cp.epoch == rep.selected_epoch:
+                expected["kl_loss"] = kl_loss(p, X[train],
+                                              rep.refine_result.matrix,
+                                              weights)
+                expected["retain"] = error_rate(p, xr, yr)
+                expected["test"] = error_rate(p, *ds.split_arrays("test"))
+            assert entry == expected
+
+    def test_snapshot_exception_ends_the_fine_tune(
+            self, small_blobs, small_split, small_model, monkeypatch):
+        # a snapshot measurement that raises ends the fine-tune before the
+        # next epoch, and leaves no thread behind
+        import threading
+        from ppunlearn import model as model_module
+        from ppunlearn import pipeline
+        snapshots, steps = [], []
+        real_measure, real_step = pipeline.measure, model_module._loss_and_grads
+
+        def failing(*args, **kwargs):
+            snapshots.append(1)
+            if len(snapshots) == 2:
+                raise FloatingPointError("injected")
+            return real_measure(*args, **kwargs)
+
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "measure", failing)
+        monkeypatch.setattr(model_module, "_loss_and_grads", counting)
+        task = UnlearnTask(small_blobs, small_split, "privacy",
+                           PseudoScheme("random-softmax", seed=7), kl_cfg(4),
+                           refine_cfg=RefineConfig(),
+                           selection="output-distance")
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="injected"):
+            ppu_privacy(small_model, task)
+        n_train = len(small_blobs.splits["train"])
+        assert len(snapshots) == 2
+        assert len(steps) == 2 * -(-n_train // 32)  # two epochs of steps
+        assert threading.active_count() == before
 
 
 class TestStreamedSelection:
