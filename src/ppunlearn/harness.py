@@ -604,8 +604,13 @@ def emit_plot_data(run_dir) -> list:
     run_dir = Path(run_dir)
     _completed_stages(run_dir, "method", "eval")
     _, ds, split = _run_data(run_dir)
-    epochs = [e["epoch"] for e in
-              _read_record(run_dir / "method.json").get("trajectory", [])]
+    path = run_dir / "method.json"
+    trajectory = _read_record(path).get("trajectory", [])
+    if not (isinstance(trajectory, list) and all(
+            isinstance(e, dict) and _is_int(e.get("epoch"))
+            for e in trajectory)):
+        raise DataError(f"{path}: every trajectory epoch must be an integer")
+    epochs = [e["epoch"] for e in trajectory]
     models = [load_model(run_dir / "checkpoints" / f"epoch_{k:03d}.ckpt")[0]
               for k in epochs]
     written = []
@@ -633,4 +638,10 @@ def load_summary(run_dir) -> RunSummary:
     if set(record) != {f.name for f in fields(RunSummary)}:
         raise DataError(f"{path}: keys {sorted(record)} are not a run "
                         "summary's")
+    timings = record["timings"]
+    if not (isinstance(timings, list) and all(
+            isinstance(t, dict) and isinstance(t.get("label"), str)
+            and _is_number(t.get("mean")) and _is_number(t.get("std_error"))
+            for t in timings)):
+        raise DataError(f"{path}: 'timings' is not a list of timing records")
     return RunSummary(**record)

@@ -258,8 +258,8 @@ def _loss_and_grads(params, X, y_onehot_or_targets, kind, row_weights=None,
     With a workspace ``ws`` (the SGD step), every intermediate and the
     gradients are written into its buffers, and the loss is not computed:
     the first item of the result is None.  Without one, the call allocates
-    its own buffers and returns ``(loss, grads)``.  Inputs without their
-    column of ones get it in a copy, so the SGD loops pass it already.
+    its own buffers and returns ``(loss, grads)``.  Raw inputs, NegGrad+'s
+    batches, get their column of ones in a copy; the SGD loop's carry it.
     """
     X = _with_ones(params, X)
     n = X.shape[0]
@@ -296,11 +296,11 @@ def _momentum_step(flat, vel, g, cfg) -> None:
 def _sgd_epochs(params, X, T, cfg, kind, row_weights):
     """Mini-batch SGD on ``params``, in place; yields each finished epoch.
 
-    Each step makes one momentum update of ``params.flat``.  The inputs get
-    their column of ones once per run, unless they carry it already.  Each
-    epoch gathers its shuffled inputs, targets and row weights once into
-    epoch buffers, and each step reads a contiguous slice of them and writes
-    into one workspace that the run allocates up front.
+    Each step makes one momentum update of ``params.flat``.  The raw inputs
+    get their column of ones once per run.  Each epoch gathers its shuffled
+    inputs, targets and row weights once into epoch buffers, and each step
+    reads a contiguous slice of them and writes into one workspace that the
+    run allocates up front.
     """
     vel = np.zeros_like(params.flat)
     rng = np.random.default_rng(cfg.seed)

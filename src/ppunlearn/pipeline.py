@@ -22,8 +22,8 @@ import numpy as np
 from .data import Dataset, SplitResult
 from .errors import UsageError
 from .evaluate import error_rate
-from .model import (CheckpointSet, ModelParams, TrainConfig, _with_ones,
-                    finetune_kl, forward_probs, measure)
+from .model import (CheckpointSet, ModelParams, TrainConfig, finetune_kl,
+                    forward_probs, measure)
 from .probmatrix import PseudoScheme, pseudo_generate, replace_rows
 from .refine import RefineConfig, problem_from_outputs, refine
 
@@ -206,7 +206,7 @@ def _run_ppu(source: ModelParams, task: UnlearnTask,
             "iterations": refine_result.iterations,
             "objective": refine_result.objective,
             # the returned matrix is the lowest-residual iterate
-            "final_residual": min(refine_result.dual.residuals),
+            "final_residual": min(refine_result.residuals),
         }
         if not refine_result.converged:
             # the problem is convex, so the iteration budget ran out; flag
@@ -221,8 +221,7 @@ def _run_ppu(source: ModelParams, task: UnlearnTask,
         )
 
     # each snapshot measures only what the selection reads, on rows gathered
-    # once with the column of ones; the selected one's other metrics are
-    # measured once it is known
+    # once; the selected one's other metrics are measured once it is known
     gathered = fpos
     sets = {"forget": (np.arange(len(fpos)), ds.labels[split.forget_idx])}
     subsets = {"retain": (rpos, ds.labels[split.retain_idx])}
@@ -232,7 +231,7 @@ def _run_ppu(source: ModelParams, task: UnlearnTask,
             gathered = np.concatenate([fpos, rpos])
             sets["retain_kl"] = (np.arange(len(fpos), len(gathered)),
                                  subsets["retain_kl"][1])
-    snapshot_rows = _with_ones(source, X[gathered])
+    snapshot_rows = X[gathered]
     weights = np.ones(len(train_idx))
     weights[rpos] = task.lam
 

@@ -216,7 +216,8 @@ def load_probmatrix(path) -> ProbMatrix:
 
     The payload must be exactly n * k values, all finite and non-negative,
     with every row summing to 1 within 1e-6; the values are then kept
-    bitwise as stored.  A malformed header or payload size raises
+    bitwise as stored.  A malformed header (a version other than 1, a count
+    or row id other than an int64 JSON integer) or payload size raises
     ShapeError, bad values raise TargetError.
     """
     with open(path, "rb") as fh:
@@ -226,9 +227,12 @@ def load_probmatrix(path) -> ProbMatrix:
             raise ShapeError(f"not a probmatrix dump: {path}") from exc
         if not isinstance(header, dict) or header.get("format") != _DUMP_FORMAT:
             raise ShapeError(f"not a probmatrix dump: {path}")
-        n, k, row_ids = (header.get(key) for key in ("n", "k", "row_ids"))
-        if not (all(isinstance(v, int) and v >= 0 for v in (n, k))
-                and isinstance(row_ids, list)):
+        version, n, k, row_ids = (header.get(key) for key in
+                                  ("version", "n", "k", "row_ids"))
+        if not (version == _DUMP_VERSION and isinstance(row_ids, list)
+                and all(type(v) is int and v >= 0 for v in (version, n, k))
+                and all(type(i) is int and -2**63 <= i < 2**63
+                        for i in row_ids)):
             raise ShapeError(f"{path}: malformed probmatrix header")
         raw = fh.read()
     if len(raw) != n * k * 8:

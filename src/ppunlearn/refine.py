@@ -93,7 +93,7 @@ class DualState:
 class RefineConfig:
     tol: float = 1e-6
     max_iters: int = 10_000
-    eta: float | None = None    # only sets result.dual.eta; default 0.1 / N
+    eta: float | None = None    # checked only: the solve has no step size
     warm_start: ProbMatrix | None = None
 
     def __post_init__(self):
@@ -109,7 +109,8 @@ class RefineConfig:
 @dataclass
 class RefineResult:
     matrix: ProbMatrix
-    dual: DualState
+    alpha: np.ndarray       # the best iterate's; zeros for the warm start
+    residuals: list         # every iterate's sup-norm mass residual
     objective: float
     converged: bool
     iterations: int
@@ -197,9 +198,7 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
     ``cfg.max_iters`` primal updates; a step that does not lower the
     residual is halved from the same base point (``eta_schedule`` records
     each halving).  The result carries the best (lowest-residual) iterate,
-    which is the last one when converged.  ``cfg.eta`` does not affect the
-    solve; it is the step stored in ``result.dual`` for callers of
-    ``dual_step``.
+    which is the last one when converged.
     """
     cfg = cfg or RefineConfig()
     n = problem.n_rows
@@ -215,9 +214,7 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
 
     k = problem.targets.n_classes
     c = problem.row_weights()[:, None]
-    dual = DualState(alpha=np.zeros(k),
-                     eta=cfg.eta if cfg.eta is not None else 0.1 / n)
-    residuals, eta_schedule = dual.residuals, [(0, 1.0)]
+    residuals, eta_schedule = [], [(0, 1.0)]
     # where some exponent -alpha_k / c_i is clamped the minimizer stops
     # moving with alpha, so each Newton step is clipped to stay out of there
     bound = EXP_CLAMP * c.min()
@@ -225,10 +222,7 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
     # alpha of the current iterate, and alpha and matrix of the best one;
     # an alpha of None is the warm start
     q_alpha, best_alpha, best, best_resid = None, None, None, np.inf
-    converged = False
-    iterations = 0
     for it in range(1, cfg.max_iters + 1):
-        iterations = it
         if it == 1 and warm is not None:
             q_alpha, Q = None, warm
         else:
@@ -239,7 +233,6 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
         if resid < best_resid:
             best_alpha, best, best_resid = q_alpha, Q, resid
         if resid <= cfg.tol:
-            converged = True
             break
         if k == 1:
             break  # the row sums fix the one class mass; no step moves it
@@ -262,15 +255,13 @@ def refine(problem: RefineProblem, cfg: RefineConfig | None = None) -> RefineRes
             eta_schedule.append((it, step))
         alpha = base_alpha + step * direction
 
-    if best_alpha is not None:
-        dual.alpha = best_alpha
-    dual.iterations = iterations - int(converged)
     return RefineResult(
         matrix=best,
-        dual=dual,
+        alpha=np.zeros(k) if best_alpha is None else best_alpha,
+        residuals=residuals,
         objective=objective(best, problem),
-        converged=converged,
-        iterations=iterations,
+        converged=residuals[-1] <= cfg.tol,
+        iterations=len(residuals),
         eta_schedule=eta_schedule,
     )
 
@@ -291,16 +282,9 @@ def problem_from_outputs(outputs: ProbMatrix, targets: ProbMatrix,
 
 
 def save_refine_result(result: RefineResult, prefix) -> None:
-    """Persist a result: <prefix>.pmx (matrix dump) + <prefix>.json record
-    holding objective, iterations, residual history, alpha and the eta
-    schedule."""
+    """Persist a result: its matrix as the dump <prefix>.pmx, and every
+    other field as the record <prefix>.json."""
     dump_probmatrix(result.matrix, str(prefix) + ".pmx")
-    record = {
-        "objective": result.objective,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residuals": list(result.dual.residuals),
-        "alpha": result.dual.alpha.tolist(),
-        "eta_schedule": [[it, eta] for it, eta in result.eta_schedule],
-    }
+    record = dict(vars(result), alpha=result.alpha.tolist())
+    del record["matrix"]
     write_json(str(prefix) + ".json", record)

@@ -66,7 +66,7 @@ def test_criterion_1_refine_oracle_equivalence():
         worst_obj = max(worst_obj, abs(res.objective - f_oracle))
         worst_q = max(worst_q, float(
             np.abs(res.matrix.values - q_oracle).max()))
-        worst_resid = max(worst_resid, res.dual.residuals[-1])
+        worst_resid = max(worst_resid, res.residuals[-1])
     elapsed = time.perf_counter() - t0
     ok = worst_obj <= 1e-4 and worst_q <= 1e-3 and worst_resid <= 1e-6 \
         and elapsed < 10.0

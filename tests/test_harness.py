@@ -220,6 +220,22 @@ class TestRunDirectoryArtifacts:
         assert {"objective", "iterations", "residuals", "alpha",
                 "eta_schedule", "converged"} <= set(record)
 
+    def test_refined_record_is_the_refine_result(self, tmp_path, monkeypatch):
+        from ppunlearn import harness
+        saved, real = [], harness.save_refine_result
+
+        def capture(result, prefix):
+            saved.append(result)
+            real(result, prefix)
+        monkeypatch.setattr(harness, "save_refine_result", capture)
+        run_dir = tmp_path / "priv"
+        run_experiment(blob_config(run_dir, method="ppu-privacy"))
+        (result,) = saved
+        record = json.loads((run_dir / "refined.json").read_text())
+        assert record["alpha"] == result.alpha.tolist()
+        assert record["residuals"] == result.residuals
+        assert len(record["residuals"]) == record["iterations"]
+
     def test_checkpoint_sidecars_hold_only_error_rates(self, tmp_path):
         # under output-distance every snapshot measures retain_kl, a
         # divergence, beside the one error rate it measures, the forget
@@ -697,6 +713,31 @@ class TestCli:
                     else ["--run-dir", str(tmp_path / "run")])
             assert main([command, *args]) == 3
             assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit", [
+        ("summary.json", lambda r: r["timings"][0].pop("label")),
+        ("summary.json", lambda r: r["timings"][1].update(mean="0.5")),
+        ("summary.json", lambda r: r.update(timings={"label": "x"})),
+        ("method.json", lambda r: r["trajectory"][0].update(epoch="1")),
+        ("method.json", lambda r: r["trajectory"][1].update(epoch=2.0)),
+        ("method.json", lambda r: r.update(trajectory=[1, 2, 3])),
+    ], ids=["timing-without-label", "string-mean", "timings-object",
+            "string-epoch", "float-epoch", "trajectory-of-numbers"])
+    def test_malformed_run_record_report_exit_code(self, tmp_path, capsys,
+                                                   name, edit):
+        from ppunlearn.cli import main
+        cfg = blob_config(tmp_path / "run", evals={"timing": True},
+                          timing_repetitions=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["unlearn", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "run" / name
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path / "run")]) == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_runtime_exit_code(self, tmp_path):
         from ppunlearn.cli import main

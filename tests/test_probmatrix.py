@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -230,6 +231,31 @@ class TestLoadValidation:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ShapeError, match="payload bytes"):
             load_probmatrix(path)
+
+    @staticmethod
+    def dump_with_header(path, **changes):
+        """A dump of two uniform rows whose header fields ``changes`` set."""
+        dump_probmatrix(ProbMatrix(np.full((2, 2), 0.5)), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = dict(json.loads(header), **changes)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    @pytest.mark.parametrize("changes", [
+        {"version": 99}, {"version": True}, {"version": "1"},
+        {"version": None}, {"n": True}, {"row_ids": [0.5, 1.7]},
+        {"row_ids": [True, False]}, {"row_ids": ["0", "1"]},
+        {"row_ids": [2**70, 0]}, {"row_ids": [0, -2**63 - 1]},
+    ])
+    def test_header_fields_must_be_json_integers(self, tmp_path, changes):
+        path = tmp_path / "probs.pmx"
+        self.dump_with_header(path, **changes)
+        with pytest.raises(ShapeError, match="malformed probmatrix header"):
+            load_probmatrix(path)
+
+    def test_int64_row_ids_load(self, tmp_path):
+        path = tmp_path / "probs.pmx"
+        self.dump_with_header(path, row_ids=[-2**63, 2**63 - 1])
+        assert load_probmatrix(path).row_ids.tolist() == [-2**63, 2**63 - 1]
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "probs.pmx"

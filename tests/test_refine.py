@@ -123,6 +123,42 @@ class TestRefine:
         assert res.objective == 0.0
         assert np.array_equal(res.matrix.values, targets.values)
 
+    def test_alpha_is_zero_while_the_warm_start_is_best(self, rng):
+        # the warm start is the minimizer for no alpha: while it is the best
+        # iterate the result's alpha is zeros, and once a Newton iterate
+        # beats it the alpha is that iterate's
+        n, k = 40, 3
+        outputs = ProbMatrix(rng.dirichlet(np.ones(k), size=n))
+        targets = ProbMatrix(rng.dirichlet(np.ones(k), size=n))
+        warm = ProbMatrix(0.999 * outputs.values + 0.001 / k)
+        p = RefineProblem(targets, np.arange(10), np.arange(10, n), 2.0,
+                          class_mass(outputs))
+        early = refine(p, RefineConfig(max_iters=2, warm_start=warm))
+        assert early.residuals[1] > early.residuals[0]
+        assert early.matrix is warm
+        assert early.alpha.tolist() == [0.0] * k
+        late = refine(p, RefineConfig(tol=1e-10, warm_start=warm))
+        assert late.converged and late.alpha.any()
+        ref = primal_reference(targets.values, p.row_weights(), late.alpha)
+        assert late.matrix.values.tobytes() == ref.tobytes()
+
+    def test_one_residual_per_iteration(self, rng):
+        # converged at once, converged later, out of budget, and one class
+        targets = ProbMatrix(rng.dirichlet(np.ones(3), size=6))
+        one = ProbMatrix(np.ones((4, 1)))
+        cases = [
+            (RefineProblem(targets, [0, 1], [2, 3, 4, 5], 1.0,
+                           class_mass(targets)), RefineConfig()),
+            (random_instance(rng), RefineConfig(tol=1e-10)),
+            (random_instance(rng), RefineConfig(tol=1e-14, max_iters=3)),
+            (RefineProblem(one, [0], [1, 2, 3], 1.0, [4.0]), RefineConfig()),
+        ]
+        for p, cfg in cases:
+            res = refine(p, cfg)
+            assert len(res.residuals) == res.iterations >= 1
+            if res.converged:
+                assert min(res.residuals) == res.residuals[-1] <= cfg.tol
+
     def test_known_two_by_two_instance(self):
         targets = ProbMatrix([[0.9, 0.1], [0.2, 0.8]])
         p = RefineProblem(targets, [0], [1], 1.0, np.array([1.0, 1.0]))
@@ -190,7 +226,7 @@ class TestRefine:
         res = refine(p, RefineConfig(tol=1e-14, max_iters=3))
         assert not res.converged
         assert res.iterations == 3
-        assert len(res.dual.residuals) >= 1
+        assert len(res.residuals) >= 1
 
     def test_max_iters_below_one_rejected(self, rng):
         # with no iteration there is no iterate to return
@@ -216,7 +252,7 @@ class TestRefine:
             p = random_instance(rng)
             res = refine(p, RefineConfig(eta=0.5 / p.n_rows, max_iters=50_000,
                                          tol=1e-8))
-            hist = np.asarray(res.dual.residuals)
+            hist = np.asarray(res.residuals)
             start = max(1, len(hist) // 10)
             tail = hist[start:]
             assert (np.diff(tail) <= 1e-12).all()
@@ -295,7 +331,7 @@ class TestNewtonAgainstOracles:
                 assert res.converged and ref["converged"], where
                 gap = np.abs(res.matrix.values - ref["matrix"]).max()
                 assert gap <= 1e-9, where
-                assert len(res.dual.residuals) == res.iterations, where
+                assert len(res.residuals) == res.iterations, where
                 if res.matrix is not warm:
                     assert np.array_equal(res.matrix.row_ids,
                                           p.targets.row_ids), where
@@ -386,6 +422,6 @@ class TestPrimalBitwise:
                     res = refine(p, RefineConfig(tol=1e-10,
                                                  max_iters=max_iters))
                     ref = primal_reference(p.targets.values, p.row_weights(),
-                                           res.dual.alpha)
+                                           res.alpha)
                     where = f"lam={lam} case={case} max_iters={max_iters}"
                     assert res.matrix.values.tobytes() == ref.tobytes(), where
